@@ -1,6 +1,6 @@
 """Engine ablation — binomial-leap vs exact SSA vs event-driven vs batched.
 
-A DESIGN.md design choice: the paper's CMS simulator is event-driven; our
+A design choice: the paper's CMS simulator is event-driven; our
 workhorse is the vectorised binomial leap.  This bench validates that choice
 by measuring (a) distributional agreement of attack rates and deaths on a
 small population where the exact SSA is feasible, and (b) the throughput gap

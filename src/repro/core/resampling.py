@@ -8,7 +8,7 @@ than the prior ensemble (500,000 prior trajectories down-sampled to 10,000).
 Multinomial resampling is unbiased but adds the most Monte-Carlo variance of
 the classical schemes, so the library also ships systematic, stratified, and
 residual resamplers; ``benchmarks/bench_ablation_resampling.py`` quantifies
-the variance gap, one of the design-choice ablations DESIGN.md calls out.
+the variance gap.
 
 All resamplers share one signature::
 

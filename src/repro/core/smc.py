@@ -39,8 +39,10 @@ The *simulation* step is batched by default too
 every continuation ensemble are advanced as stacked
 ``(n_particles, n_compartments)`` state matrices by the
 :class:`~repro.seir.batch_engine.BatchedBinomialLeapEngine`, with no
-per-task dict/JSON checkpoint round-trips — the :class:`ParticleEnsemble`
-is built directly from the stacked day-by-day outputs.  Particles whose
+per-task dict/JSON checkpoint round-trips — the columnar
+:class:`ParticleEnsemble` is built directly from the stacked day-by-day
+outputs, and a member's scalar checkpoint is built only if it survives
+resampling (once per surviving ancestor).  Particles whose
 structural parameters differ (anything beyond the transmission rate, e.g. a
 ``param_map`` targeting ``mild_fraction``) are grouped by structural
 identity and each group is stepped as its own batch.
@@ -98,7 +100,7 @@ engine is parity-tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence, overload
 
 import numpy as np
 
@@ -106,10 +108,11 @@ from ..data.sources import ObservationSet
 from ..hpc.checkpoint_io import CheckpointStore
 from ..hpc.executor import Executor, SerialExecutor
 from ..hpc.faults import RetryPolicy, ShardFailure
-from ..hpc.sharding import (GroupShards, GroupSpec, build_group_specs,
-                            resolve_shard_layout, simulate_groups,
-                            structural_groups, validate_shard_policy)
-from ..seir.checkpoint import Checkpoint, CheckpointError
+from ..hpc.sharding import (GroupShards, GroupSpec, resolve_shard_layout,
+                            simulate_groups, validate_shard_policy)
+from ..seir.batch_engine import BatchTrajectory, leap_particle_snapshot
+from ..seir.checkpoint import (Checkpoint, CheckpointError, StackedLeapState,
+                               stack_leap_snapshots)
 from ..seir.model import (BATCH_ENGINE_NAMES, ENGINE_NAMES,
                           StochasticSEIRModel)
 from ..seir.outputs import Trajectory
@@ -360,8 +363,7 @@ class PendingWindow:
     (:meth:`SequentialCalibrator.propose_window` /
     :meth:`~SequentialCalibrator.assemble_window` /
     :meth:`~SequentialCalibrator.weigh_window`): it carries everything the
-    proposal phase decided — the per-member parameter draws, seeds, and
-    effective :class:`~repro.seir.parameters.DiseaseParameters`, the
+    proposal phase decided — the members' parameter draws and seeds, the
     structural grouping, and the ready-to-dispatch
     :class:`~repro.hpc.sharding.GroupSpec` list — so a multi-scenario
     driver can pool many windows' specs into **one** flattened shard
@@ -372,23 +374,92 @@ class PendingWindow:
     the specs, so dispatching pending windows together or apart is
     bit-identical.
 
-    ``parents`` is ``None`` for window 0 (fresh starts from burn-in) and
-    the per-member parent particles for continuations.
+    ``draws`` is the ``(n_members, n_params)`` matrix of calibrated
+    parameters (columns ``param_names``) and ``seeds`` the members' seed
+    vector.  A member's effective
+    :class:`~repro.seir.parameters.DiseaseParameters` are ``base`` with the
+    draw's mapped fields applied (``field_columns`` maps each field to its
+    ``draws`` column); :meth:`member_params` builds them on demand.
+    ``parents`` is ``None`` for window 0 (fresh starts from burn-in) and the
+    previous posterior for continuations, ``parent_rows`` then giving each
+    member's parent row.
     """
 
     index: int
     window: TimeWindow
     sim_days: int
-    groups: list[list[int]]
+    groups: list[np.ndarray]
     specs: list[GroupSpec]
-    member_draws: list[dict[str, float]]
-    member_seeds: list[int]
-    member_params: list[DiseaseParameters]
-    parents: list[Particle] | None = None
+    param_names: tuple[str, ...]
+    draws: np.ndarray
+    seeds: np.ndarray
+    base: DiseaseParameters
+    field_columns: dict[str, int]
+    parents: ParticleEnsemble | None = None
+    parent_rows: np.ndarray | None = None
 
     @property
     def n_members(self) -> int:
-        return len(self.member_seeds)
+        return len(self.seeds)
+
+    def member_params(self, i: int) -> DiseaseParameters:
+        """Member ``i``'s effective disease parameters."""
+        return self.base.with_updates(**{
+            fld: float(self.draws[i, col])
+            for fld, col in self.field_columns.items()})
+
+
+class _ShardCheckpoints(Sequence[Checkpoint]):
+    """The checkpoint column of an assembled window, built on first access.
+
+    Member ``i``'s :class:`~repro.seir.checkpoint.Checkpoint` pairs its
+    effective parameters with its row of the shard results'
+    :class:`~repro.seir.checkpoint.StackedLeapState`, in the scalar
+    ``binomial_leap`` snapshot format (:func:`leap_particle_snapshot`).
+    Each is built once and cached: resampling builds one per surviving
+    ancestor, and that ancestor's duplicates share the object (the
+    forecast and continuation payload caches key on ``id()``).
+    """
+
+    def __init__(self, states: list[StackedLeapState],
+                 members: list[np.ndarray],
+                 params_of: Callable[[int], DiseaseParameters]) -> None:
+        n = sum(len(m) for m in members)
+        self._states = states
+        self._block = np.empty(n, dtype=np.int64)
+        self._row = np.empty(n, dtype=np.int64)
+        for block, rows in enumerate(members):
+            self._block[rows] = block
+            self._row[rows] = np.arange(len(rows))
+        self._params_of = params_of
+        self._built: dict[int, Checkpoint] = {}
+
+    def __len__(self) -> int:
+        return len(self._block)
+
+    @overload
+    def __getitem__(self, index: int) -> Checkpoint: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> list[Checkpoint]: ...
+
+    def __getitem__(self, index: int | slice
+                    ) -> Checkpoint | list[Checkpoint]:
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]
+        checkpoint = self._built.get(i)
+        if checkpoint is None:
+            state = self._states[self._block[i]]
+            j = int(self._row[i])
+            checkpoint = Checkpoint(
+                params=self._params_of(i),
+                snapshot=leap_particle_snapshot(
+                    state.day, state.counts[j], state.cum_infections[j],
+                    state.cum_deaths[j], state.steps_per_day,
+                    state.seeds[j]))
+            self._built[i] = checkpoint
+        return checkpoint
 
 
 # --------------------------------------------------------------------------- #
@@ -1020,38 +1091,102 @@ class SequentialCalibrator:
         return self._propose_continuation(index, window, posterior,
                                           n_proposals=n_proposals)
 
+    def _draw_matrix(self, draws: Mapping[str, np.ndarray]) -> np.ndarray:
+        """Name-keyed draw vectors as one matrix, columns in prior order."""
+        return np.column_stack([np.asarray(draws[name], dtype=np.float64)
+                                for name in self.prior.names])
+
+    def _plan_window(self, index: int, window: TimeWindow, sim_days: int,
+                     draws: np.ndarray, seeds: np.ndarray, *,
+                     start_day: int | None = None,
+                     parents: ParticleEnsemble | None = None,
+                     parent_rows: np.ndarray | None = None,
+                     parent_state: StackedLeapState | None = None
+                     ) -> PendingWindow:
+        """Group the members and build one spec per structural group.
+
+        Only ``param_map`` fields vary between members and only the
+        non-transmission ones are structural, so members group by those
+        columns' values, in order of first appearance — the grouping
+        :func:`~repro.hpc.sharding.structural_groups` computes from
+        per-member parameters, without building them.  Restarts pass the
+        parents' stacked state, one row per member.
+        """
+        base = self._window_base_params(window)
+        names = tuple(self.prior.names)
+        field_columns = {fld: names.index(name)
+                         for name, fld in self.param_map.items()}
+        base.check_column_updates({fld: draws[:, col]
+                                   for fld, col in field_columns.items()})
+        structural = [col for fld, col in field_columns.items()
+                      if fld != "transmission_rate"]
+        groups: list[np.ndarray]
+        if structural:
+            keyed: dict[tuple, list[int]] = {}
+            for i, key in enumerate(draws[:, structural].tolist()):
+                keyed.setdefault(tuple(key), []).append(i)
+            groups = [np.array(g, dtype=np.int64) for g in keyed.values()]
+        else:
+            groups = [np.arange(len(seeds))]
+        thetas = (draws[:, field_columns["transmission_rate"]]
+                  if "transmission_rate" in field_columns
+                  else np.full(len(seeds), float(base.transmission_rate)))
+        pending = PendingWindow(
+            index=index, window=window, sim_days=sim_days, groups=groups,
+            specs=[], param_names=names, draws=draws, seeds=seeds, base=base,
+            field_columns=field_columns, parents=parents,
+            parent_rows=parent_rows)
+        for members in groups:
+            pending.specs.append(GroupSpec(
+                params=pending.member_params(int(members[0])),
+                seeds=seeds[members], thetas=thetas[members],
+                start_day=start_day,
+                state=(None if parent_state is None
+                       else parent_state.rows(members))))
+        return pending
+
     def _propose_first_window(self, window: TimeWindow) -> PendingWindow:
         cfg = self.config
-        base = self._window_base_params(window)
         rng_prior = self._bank.ancillary_generator(_PURPOSE_PRIOR)
-        draws = self.prior.sample(cfg.n_parameter_draws, rng_prior)
-        seeds = self._bank.common_replicate_seeds(cfg.n_replicates)
-        draw_dicts = [{name: float(draws[name][i]) for name in self.prior.names}
-                      for i in range(cfg.n_parameter_draws)]
+        draws = self._draw_matrix(
+            self.prior.sample(cfg.n_parameter_draws, rng_prior))
+        seeds = np.array(self._bank.common_replicate_seeds(cfg.n_replicates),
+                         dtype=np.int64)
         # Replicates share the particle order of the scalar path
         # (draw-major, replicate-minor), so the two paths are positionally
         # comparable.
-        entry_draws: list[dict[str, float]] = []
-        entry_params: list[DiseaseParameters] = []
-        entry_seeds: list[int] = []
-        for draw in draw_dicts:
-            params = self._params_for_draw(draw, base)
-            for seed in seeds:
-                entry_draws.append(draw)
-                entry_params.append(params)
-                entry_seeds.append(seed)
-        groups = structural_groups(entry_params)
-        specs = build_group_specs(groups, entry_params, entry_seeds,
-                                  start_day=self.schedule.burn_in_start)
-        self._progress(f"window 0: batch-simulating {len(entry_seeds)} prior "
-                       f"trajectories ({len(groups)} structural group(s), "
-                       f"{self.executor.workers} worker(s))")
-        return PendingWindow(
-            index=0, window=window,
-            sim_days=window.end_day - self.schedule.burn_in_start,
-            groups=groups, specs=specs, member_draws=entry_draws,
-            member_seeds=[int(s) for s in entry_seeds],
-            member_params=entry_params, parents=None)
+        pending = self._plan_window(
+            0, window, window.end_day - self.schedule.burn_in_start,
+            np.repeat(draws, cfg.n_replicates, axis=0),
+            np.tile(seeds, cfg.n_parameter_draws),
+            start_day=self.schedule.burn_in_start)
+        self._progress(f"window 0: batch-simulating {pending.n_members} prior "
+                       f"trajectories ({len(pending.groups)} structural "
+                       f"group(s), {self.executor.workers} worker(s))")
+        return pending
+
+    @staticmethod
+    def _stack_parent_checkpoints(index: int, posterior: ParticleEnsemble
+                                  ) -> tuple[StackedLeapState, np.ndarray]:
+        """Stack the posterior's distinct checkpoints once.
+
+        Returns the stacked state and, per posterior row, its row in the
+        stack (resampled duplicates share one checkpoint object, hence one
+        row).
+        """
+        position: dict[int, int] = {}
+        snapshots: list[dict] = []
+        rows = np.empty(len(posterior), dtype=np.int64)
+        for j, checkpoint in enumerate(posterior.checkpoints()):
+            if checkpoint is None:
+                raise ValueError(
+                    f"window {index} restarts the previous posterior's "
+                    f"checkpoints, but its particle {j} carries none")
+            k = position.setdefault(id(checkpoint), len(snapshots))
+            if k == len(snapshots):
+                snapshots.append(checkpoint.snapshot)
+            rows[j] = k
+        return stack_leap_snapshots(snapshots), rows
 
     def _propose_continuation(self, index: int, window: TimeWindow,
                               posterior: ParticleEnsemble, *,
@@ -1061,33 +1196,24 @@ class SequentialCalibrator:
             else cfg.continuation_ensemble_size
         if n < 1:
             raise ValueError("n_proposals must be >= 1")
-        base = self._window_base_params(window)
+        parent_state, state_rows = self._stack_parent_checkpoints(index,
+                                                                  posterior)
         rng_jitter = self._bank.ancillary_generator(_PURPOSE_JITTER,
                                                     window_index=index)
-        parent_idx = np.arange(n) % len(posterior)
-        centers = {name: posterior.values(name)[parent_idx]
+        parent_rows = np.arange(n) % len(posterior)
+        centers = {name: posterior.values(name)[parent_rows]
                    for name in self.prior.names}
-        proposal = self.jitter.propose(centers, rng_jitter)
-        proposed_params = [{name: float(proposal[name][i])
-                            for name in self.prior.names} for i in range(n)]
-        seeds = [self._bank.window_draw_seed(index, i) for i in range(n)]
-        parents = [posterior[int(j)] for j in parent_idx]
-        params_list = [self._params_for_draw(draw, base)
-                       for draw in proposed_params]
-        groups = structural_groups(params_list)
-        for parent in parents:
-            assert parent.checkpoint is not None
-        specs = build_group_specs(
-            groups, params_list, seeds,
-            snapshots=[p.checkpoint.snapshot for p in parents])
+        draws = self._draw_matrix(self.jitter.propose(centers, rng_jitter))
+        seeds = np.array([self._bank.window_draw_seed(index, i)
+                          for i in range(n)], dtype=np.int64)
+        pending = self._plan_window(
+            index, window, window.n_days, draws, seeds, parents=posterior,
+            parent_rows=parent_rows,
+            parent_state=parent_state.rows(state_rows[parent_rows]))
         self._progress(
-            f"window {index}: batch-restarting {len(parents)} "
+            f"window {index}: batch-restarting {n} "
             f"checkpoints ({window.label()})")
-        return PendingWindow(
-            index=index, window=window, sim_days=window.n_days,
-            groups=groups, specs=specs, member_draws=proposed_params,
-            member_seeds=[int(s) for s in seeds], member_params=params_list,
-            parents=parents)
+        return pending
 
     def _simulate_pending(self, pending: PendingWindow) -> list[GroupShards]:
         cfg = self.config
@@ -1101,37 +1227,57 @@ class SequentialCalibrator:
 
     def assemble_window(self, pending: PendingWindow,
                         shards: list[GroupShards]) -> ParticleEnsemble:
-        """Reassemble a dispatched :class:`PendingWindow` into particles.
+        """Reassemble a dispatched :class:`PendingWindow` into an ensemble.
 
         ``shards`` is the per-group result list for exactly
         ``pending.specs`` (e.g. one element of a
-        :func:`~repro.hpc.sharding.simulate_group_sets` return).  Window 0
-        turns each whole trajectory into history+segment; continuations
-        splice each parent's history with its restarted segment.
+        :func:`~repro.hpc.sharding.simulate_group_sets` return).  The shard
+        outputs are stacked into member order once.  Window 0's histories
+        are the whole simulated range and its segments the window's days;
+        continuations append each member's segment to its parent's history
+        row.  Checkpoints are left in the shards' stacked states until
+        resampling asks for them (:class:`_ShardCheckpoints`).
         """
-        first_window = pending.parents is None
-        particles: list[Particle | None] = [None] * pending.n_members
+        blocks: list[BatchTrajectory] = []
+        states: list[StackedLeapState] = []
+        members: list[np.ndarray] = []
         for indices, group in zip(pending.groups, shards):
-            for member, result, row in group.member_items():
-                idx = indices[member]
-                checkpoint = Checkpoint(
-                    params=pending.member_params[idx],
-                    snapshot=result.particle_snapshot(row))
-                if first_window:
-                    history = result.batch.trajectory(row)
-                    segment = history.window(pending.window.start_day,
-                                             pending.window.end_day)
-                else:
-                    segment = result.batch.trajectory(row)
-                    assert pending.parents is not None
-                    parent = pending.parents[idx]
-                    history = parent.history.extended_by(segment) \
-                        if parent.history is not None else segment
-                particles[idx] = Particle(
-                    params=pending.member_draws[idx],
-                    seed=pending.member_seeds[idx],
-                    segment=segment, history=history, checkpoint=checkpoint)
-        return ParticleEnsemble(particles)
+            for (lo, hi), result in zip(group.bounds, group.results):
+                if result.state is None:
+                    raise ValueError(
+                        f"window {pending.index}: shard {result.shard_id} "
+                        "returned no state to checkpoint from")
+                blocks.append(result.batch)
+                states.append(result.state)
+                members.append(indices[lo:hi])
+        order = np.concatenate(members)
+        if not np.array_equal(np.sort(order), np.arange(pending.n_members)):
+            raise ValueError(
+                f"window {pending.index}: shard results cover "
+                f"{len(order)} rows, not each of {pending.n_members} "
+                "members once")
+        batch = BatchTrajectory.concatenate(blocks)
+        if not np.array_equal(order, np.arange(len(order))):
+            batch = batch.rows(np.argsort(order))
+        if pending.parents is None:
+            segments = batch.window(pending.window.start_day,
+                                    pending.window.end_day)
+            histories = batch
+        elif pending.parent_rows is None:
+            raise ValueError(
+                f"window {pending.index}: a continuation needs each "
+                "member's parent row")
+        else:
+            segments = histories = batch
+            parent_histories = pending.parents.trajectory_matrices("history")
+            if parent_histories is not None:
+                histories = parent_histories.rows(
+                    pending.parent_rows).extended_by(segments)
+        return ParticleEnsemble.from_columns(
+            pending.param_names, pending.draws, pending.seeds,
+            segments=segments, histories=histories,
+            checkpoints=_ShardCheckpoints(states, members,
+                                          pending.member_params))
 
     # ------------------------------------------------------------------ #
     def _first_window_ensemble(self, window: TimeWindow) -> ParticleEnsemble:
@@ -1215,8 +1361,13 @@ class SequentialCalibrator:
         scenario_pins = self._scenario_restart_overrides(window)
         payload_cache: dict[int, dict] = {}
         tasks = []
-        for draw, seed, parent in zip(proposed_params, seeds, parents):
-            assert parent.checkpoint is not None
+        for j, (draw, seed, parent) in enumerate(
+                zip(proposed_params, seeds, parents)):
+            if parent.checkpoint is None:
+                raise ValueError(
+                    f"window {index} restarts the previous posterior's "
+                    f"checkpoints, but its particle {int(parent_idx[j])} "
+                    "carries none")
             payload = payload_cache.get(id(parent.checkpoint))
             if payload is None:
                 payload = parent.checkpoint.to_dict()
@@ -1245,7 +1396,7 @@ class SequentialCalibrator:
         return ParticleEnsemble(particles)
 
     # ------------------------------------------------------------------ #
-    def _scalar_log_weights(self, window_obs: ObservationSet,
+    def _scalar_log_weights(self, index: int, window_obs: ObservationSet,
                             ensemble: ParticleEnsemble,
                             rng_bias: np.random.Generator) -> np.ndarray:
         """Per-particle reference weighting loop.
@@ -1258,7 +1409,9 @@ class SequentialCalibrator:
         """
         log_weights = np.empty(len(ensemble))
         for i, particle in enumerate(ensemble):
-            assert particle.segment is not None
+            if particle.segment is None:
+                raise ValueError(
+                    f"window {index}: particle {i} has no segment to weigh")
             log_weights[i] = self.observation_model.loglik(
                 window_obs, particle.segment, particle.params[BIAS_PARAM],
                 rng_bias)
@@ -1296,10 +1449,9 @@ class SequentialCalibrator:
             log_weights = self.observation_model.loglik_ensemble(
                 window_obs, ensemble, ensemble.values(BIAS_PARAM), rng_bias)
         else:
-            log_weights = self._scalar_log_weights(window_obs, ensemble,
-                                                   rng_bias)
-        weighted_ensemble = ParticleEnsemble(
-            [p.with_weight(ll) for p, ll in zip(ensemble, log_weights)])
+            log_weights = self._scalar_log_weights(index, window_obs,
+                                                   ensemble, rng_bias)
+        weighted_ensemble = ensemble.with_log_weights(log_weights)
 
         normalized = normalize_log_weights(log_weights)
         particle_steps = len(ensemble) * int(sim_days)

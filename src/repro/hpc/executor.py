@@ -8,8 +8,9 @@ debugging), process pools (multi-core laptops / single cluster nodes), and
 thread pools (useful when the mapped function releases the GIL).
 
 An mpi4py-backed executor would satisfy the same protocol via
-``MPIPoolExecutor.map``; the adapter seam is documented in DESIGN.md.  The
-in-repo MPI-style communicator lives in :mod:`repro.hpc.mpi_like`.
+``MPIPoolExecutor.map``: the adapter seam is :class:`Executor` below
+(``map``, ``map_each`` and ``workers``).  The in-repo MPI-style
+communicator lives in :mod:`repro.hpc.mpi_like`.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from ..core.contracts import check_shaped
-from ..seir.batch_engine import BatchTrajectory, leap_particle_snapshot
+from ..seir.batch_engine import BatchTrajectory
 from ..seir.checkpoint import StackedLeapState, stack_leap_snapshots
 from ..seir.model import batch_engine_class
 from ..seir.parameters import DiseaseParameters
@@ -157,15 +157,6 @@ class ShardResult:
     shard_id: int
     batch: BatchTrajectory
     state: StackedLeapState | None
-
-    def particle_snapshot(self, j: int) -> dict:
-        """Member ``j``'s final state as a scalar ``binomial_leap`` snapshot."""
-        if self.state is None:
-            raise ValueError("shard was run with return_state=False")
-        s = self.state
-        return leap_particle_snapshot(s.day, s.counts[j], s.cum_infections[j],
-                                      s.cum_deaths[j], s.steps_per_day,
-                                      s.seeds[j])
 
 
 def run_shard(task: ShardTask) -> ShardResult:
@@ -444,14 +435,8 @@ def _plan_group_tasks(specs: Sequence[GroupSpec], tasks: list[ShardTask], *,
         layouts.append(bounds)
         task_ids = []
         for lo, hi in bounds:
-            state = None
-            if spec.state is not None:
-                s = spec.state
-                state = StackedLeapState(
-                    day=s.day, steps_per_day=s.steps_per_day,
-                    counts=s.counts[lo:hi],
-                    cum_infections=s.cum_infections[lo:hi],
-                    cum_deaths=s.cum_deaths[lo:hi], seeds=s.seeds[lo:hi])
+            state = (None if spec.state is None
+                     else spec.state.rows(slice(lo, hi)))
             task_ids.append(len(tasks))
             tasks.append(ShardTask(
                 shard_id=len(tasks), params=spec.params,

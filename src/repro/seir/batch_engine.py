@@ -116,9 +116,11 @@ class BatchTrajectory:
 
     Channel matrices are ``(n_particles, n_days)`` float64, row ``i`` being
     member ``i``'s record.  :meth:`trajectory` materialises a per-particle
-    :class:`~repro.seir.outputs.Trajectory` on demand, which is how the
-    calibrator builds its :class:`~repro.core.particle.ParticleEnsemble`
-    directly from the stacked outputs.
+    :class:`~repro.seir.outputs.Trajectory` on demand.  This is also the
+    segment/history layout of the columnar
+    :class:`~repro.core.particle.ParticleEnsemble`, which selects rows
+    (:meth:`rows`) and appends continuation windows (:meth:`extended_by`)
+    without per-member objects.
     """
 
     def __init__(self, start_day: int, infections: np.ndarray,
@@ -156,6 +158,10 @@ class BatchTrajectory:
             raise KeyError(f"unknown channel {channel!r}")
         return mapping[channel]
 
+    def _channels(self) -> tuple[np.ndarray, ...]:
+        return (self.infections, self.deaths, self.hospital_census,
+                self.icu_census)
+
     def trajectory(self, i: int) -> Trajectory:
         """Member ``i``'s record as a scalar :class:`Trajectory`."""
         return Trajectory(self.start_day, self.infections[i], self.deaths[i],
@@ -163,6 +169,44 @@ class BatchTrajectory:
 
     def trajectories(self) -> list[Trajectory]:
         return [self.trajectory(i) for i in range(self.n_particles)]
+
+    @classmethod
+    def concatenate(cls, batches: "list[BatchTrajectory]"
+                    ) -> "BatchTrajectory":
+        """Stack member blocks that cover one day range, in order."""
+        if not batches:
+            raise ValueError("need at least one BatchTrajectory to stack")
+        first = batches[0]
+        for b in batches[1:]:
+            if (b.start_day, b.n_days) != (first.start_day, first.n_days):
+                raise ValueError(
+                    f"batches disagree on coverage: [{b.start_day}, "
+                    f"{b.end_day}) vs [{first.start_day}, {first.end_day})")
+        return cls(first.start_day,
+                   *(np.concatenate(mats) for mats in
+                     zip(*(b._channels() for b in batches))))
+
+    def rows(self, index: np.ndarray) -> "BatchTrajectory":
+        """The members at ``index`` (repeats allowed), copied."""
+        idx = np.asarray(index, dtype=np.int64)
+        return BatchTrajectory(self.start_day,
+                               *(m[idx] for m in self._channels()))
+
+    def extended_by(self, other: "BatchTrajectory") -> "BatchTrajectory":
+        """Append every member's continuation segment (row ``i`` to row
+        ``i``), one concatenate per channel."""
+        if other.start_day != self.end_day:
+            raise ValueError(
+                f"continuation starts at day {other.start_day}, "
+                f"expected {self.end_day}")
+        if other.n_particles != self.n_particles:
+            raise ValueError(
+                f"continuation has {other.n_particles} members, "
+                f"expected {self.n_particles}")
+        return BatchTrajectory(
+            self.start_day,
+            *(np.concatenate([a, b], axis=1)
+              for a, b in zip(self._channels(), other._channels())))
 
     def window(self, start_day: int, end_day: int) -> "BatchTrajectory":
         """Slice all members to days ``[start_day, end_day)``."""

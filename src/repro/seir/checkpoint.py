@@ -191,6 +191,14 @@ class StackedLeapState:
     def n_particles(self) -> int:
         return int(self.counts.shape[0])
 
+    def rows(self, index: np.ndarray | slice) -> "StackedLeapState":
+        """The members at ``index`` (an integer array or a slice)."""
+        return StackedLeapState(day=self.day, steps_per_day=self.steps_per_day,
+                                counts=self.counts[index],
+                                cum_infections=self.cum_infections[index],
+                                cum_deaths=self.cum_deaths[index],
+                                seeds=self.seeds[index])
+
 
 def stack_leap_snapshots(snapshots: Sequence[dict]) -> StackedLeapState:
     """Validate and stack scalar ``binomial_leap`` snapshots for batching.

@@ -26,6 +26,8 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Any, ClassVar, Mapping
 
+import numpy as np
+
 __all__ = ["DiseaseParameters", "ParameterOverride", "chicago_defaults"]
 
 
@@ -136,6 +138,24 @@ class DiseaseParameters:
     def with_updates(self, **updates: Any) -> "DiseaseParameters":
         """Return a copy with named fields replaced (validated)."""
         return replace(self, **updates)
+
+    def check_column_updates(self, columns: Mapping[str, np.ndarray]) -> None:
+        """Validate ``with_updates(name=v)`` for every value ``v`` of each
+        named column, without building one copy per value.
+
+        Every field rule is a range test, so a column passes exactly when
+        its smallest and largest values (and any NaN) do; those values go
+        through :meth:`with_updates`, which raises its usual error.
+        """
+        for name, column in columns.items():
+            values = np.asarray(column, dtype=np.float64)
+            nan = np.isnan(values)
+            rest = values[~nan]
+            probes = [float(values[nan][0])] if nan.any() else []
+            if rest.size:
+                probes += [float(rest.min()), float(rest.max())]
+            for value in probes:
+                self.with_updates(**{name: value})
 
     def basic_reproduction_number(self) -> float:
         """Crude R0 estimate: theta times the mean infectious person-days.
