@@ -41,7 +41,6 @@ DEFAULT_SIZE = 2_000
 DEFAULT_DAYS = 14
 DEFAULT_SHARDS = 4
 STEPS_PER_DAY = 4
-ENGINE = "binomial_leap_batched"
 TARGET = {"min_speedup": 0.95}  # < 5% zero-fault overhead
 
 
@@ -58,7 +57,7 @@ def run_window(executor, params: DiseaseParameters, seeds: np.ndarray,
     """One sharded window simulation; returns per-particle infection totals."""
     spec = GroupSpec(params=params, seeds=seeds, thetas=thetas, start_day=0)
     [group] = simulate_groups(
-        executor, [spec], end_day=n_days, engine=ENGINE,
+        executor, [spec], end_day=n_days,
         engine_options={"steps_per_day": STEPS_PER_DAY}, n_shards=n_shards,
         retry=retry)
     return np.concatenate([r.batch.infections.sum(axis=1)

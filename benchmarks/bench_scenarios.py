@@ -46,7 +46,6 @@ DEFAULT_DRAWS = 400
 DEFAULT_REPLICATES = 5  # 400 x 5 = 2,000 particles per proposal window
 DEFAULT_RESAMPLE = 400
 DEFAULT_SHARDS = 4
-ENGINE = "binomial_leap_batched"
 TARGET = {"min_speedup": 1.5}
 
 
@@ -54,7 +53,7 @@ def _config(draws: int, replicates: int, resample: int, n_shards: int,
             base_seed: int) -> SMCConfig:
     return SMCConfig(n_parameter_draws=draws, n_replicates=replicates,
                      resample_size=resample, base_seed=base_seed,
-                     engine=ENGINE, n_shards=n_shards)
+                     n_shards=n_shards)
 
 
 def _calibrator(truth, scenario, config: SMCConfig,

@@ -11,9 +11,10 @@ Two claims of the sharding PR are measured here:
   over the single-process path; the target is >= 2x at 10,000 particles
   with >= 4 workers (only assessable on a >= 4-core host — ``cpu_count``
   is recorded so trend checks can judge the baseline's provenance).
-* **Batched forecasting** — ``forecast_from_posterior`` through the scalar
-  per-particle task path vs the sharded batched path (both single-process,
-  so the ratio isolates batching, not parallelism).
+* **Batched forecasting** — the per-particle reference forecast
+  (:func:`repro.testing.reference_forecast`, one checkpoint-restart task
+  per entry) vs ``forecast_from_posterior`` on the sharded batched path
+  (both single-process, so the ratio isolates batching, not parallelism).
 
 Emits ``BENCH_sharding.json`` with per-path timings and speedups
 (``benchmarks/check_trend.py`` gates every ``speedup`` entry in CI).
@@ -37,12 +38,12 @@ from repro.hpc import (Executor, GroupSpec, ProcessExecutor, SerialExecutor,
                        simulate_groups)
 from repro.inference import forecast_from_posterior
 from repro.seir import BatchedBinomialLeapEngine, DiseaseParameters
+from repro.testing import reference_forecast
 
 DEFAULT_SIZES = (2_000, 10_000)
 DEFAULT_SHARDS = (1, 2, 4, 8)
 DEFAULT_DAYS = 14
 STEPS_PER_DAY = 4
-ENGINE = "binomial_leap_batched"
 TARGET = {"n_particles": 10_000, "min_speedup": 2.0, "min_workers": 4}
 
 
@@ -64,7 +65,7 @@ def run_window(executor: Executor, params: DiseaseParameters,
     """One sharded window simulation; returns mean total infections."""
     spec = GroupSpec(params=params, seeds=seeds, thetas=thetas, start_day=0)
     [group] = simulate_groups(
-        executor, [spec], end_day=n_days, engine=ENGINE,
+        executor, [spec], end_day=n_days,
         engine_options={"steps_per_day": STEPS_PER_DAY}, n_shards=n_shards)
     totals = np.concatenate([r.batch.infections.sum(axis=1)
                              for r in group.results])
@@ -86,14 +87,15 @@ def make_posterior(params: DiseaseParameters, n: int, seed: int,
 
 def run_forecast_bench(params: DiseaseParameters, n_particles: int,
                        horizon: int, seed: int, repeats: int) -> dict:
-    """Scalar vs batched forecast timings (both single-process)."""
+    """Per-particle reference vs batched forecast timings (both
+    single-process)."""
     posterior = make_posterior(params, n_particles, seed)
     scalar_s, scalar_fc = time_best(
-        lambda: forecast_from_posterior(posterior, horizon, base_seed=seed,
-                                        path="scalar"), repeats)
+        lambda: reference_forecast(posterior, horizon, base_seed=seed),
+        repeats)
     batched_s, batched_fc = time_best(
-        lambda: forecast_from_posterior(posterior, horizon, base_seed=seed,
-                                        path="batched"), repeats)
+        lambda: forecast_from_posterior(posterior, horizon, base_seed=seed),
+        repeats)
     mean_total = lambda fc: float(np.mean(  # noqa: E731
         [t.infections.sum() for t in fc.trajectories]))
     return {

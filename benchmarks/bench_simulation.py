@@ -1,11 +1,12 @@
 """Throughput benchmark of the window-simulation hot path.
 
 Simulates one calibration window (14 days by default) for an ensemble of
-particles through both simulation paths the sequential calibrator offers:
+particles through two simulation paths:
 
 * **scalar** — one :class:`~repro.seir.StochasticSEIRModel` per particle,
-  exactly the per-task work of ``_run_first_window_task`` (engine
-  construction, day loop, checkpoint ``to_dict`` round-trip), and
+  the per-member work of the per-particle reference calibrator
+  (:mod:`repro.testing.reference`) plus a checkpoint ``to_dict`` (engine
+  construction, day loop, serialisation), and
 * **batched** — one :class:`~repro.seir.BatchedBinomialLeapEngine` stepping
   the whole cloud as a ``(n_particles, n_compartments)`` state matrix,
   including the per-particle ``Trajectory``/checkpoint extraction the

@@ -16,11 +16,12 @@ import numpy as np
 
 from ..core.particle import Particle, ParticleEnsemble
 from ..core.priors import IndependentProduct
-from ..core.smc import BIAS_PARAM, _FirstWindowTask, _run_first_window_task
+from ..core.smc import BIAS_PARAM
 from ..data.sources import ObservationSet
 from ..hpc.executor import Executor, SerialExecutor
 from ..seir.parameters import DiseaseParameters
 from ..seir.seeding import SeedSequenceBank, register_ancillary_purpose
+from ..sim.ensemble import _MemberTask, _run_member_task
 
 __all__ = ["ABCResult", "sqrt_count_distance", "abc_rejection"]
 
@@ -110,15 +111,14 @@ def abc_rejection(observations: ObservationSet,
         draw = {name: float(draws[name][i]) for name in prior.names}
         params = base_params.with_updates(
             **{fld: draw[name] for name, fld in param_map.items()})
-        tasks.append(_FirstWindowTask(
+        tasks.append(_MemberTask(
             params_payload=params.to_dict(), seed=seeds[i], end_day=end_day,
-            start_day=0, engine=engine,
-            engine_options=dict(engine_options or {})))
-    outputs = executor.map(_run_first_window_task, tasks)
+            engine=engine, engine_options=dict(engine_options or {})))
+    outputs = executor.map(_run_member_task, tasks)
 
     distances = np.empty(n_proposals)
     particles = []
-    for i, (trajectory, _cp) in enumerate(outputs):
+    for i, trajectory in enumerate(outputs):
         draw = {name: float(draws[name][i]) for name in prior.names}
         true_counts = trajectory.series("cases").window(start_day, end_day)
         rho = draw[BIAS_PARAM]

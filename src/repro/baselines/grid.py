@@ -14,12 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.observation import ObservationModel
-from ..core.smc import _FirstWindowTask, _run_first_window_task
 from ..core.weights import logsumexp
 from ..data.sources import ObservationSet
 from ..hpc.executor import Executor, SerialExecutor
 from ..seir.parameters import DiseaseParameters
 from ..seir.seeding import SeedSequenceBank, register_ancillary_purpose
+from ..sim.ensemble import common_seed_grid, run_ensemble
 
 __all__ = ["GridPosterior", "grid_posterior"]
 
@@ -87,21 +87,15 @@ def grid_posterior(observations: ObservationSet,
     window_obs = observations.window(start_day, end_day)
 
     # Simulation depends on theta only; rho enters through the bias model.
-    tasks = []
-    for theta in theta_values:
-        payload = base_params.with_updates(transmission_rate=float(theta)).to_dict()
-        for seed in seeds:
-            tasks.append(_FirstWindowTask(
-                params_payload=payload, seed=seed, end_day=end_day,
-                start_day=0, engine=engine,
-                engine_options=dict(engine_options or {})))
-    outputs = executor.map(_run_first_window_task, tasks)
+    outputs = run_ensemble(common_seed_grid(
+        [{"transmission_rate": float(theta)} for theta in theta_values],
+        seeds, base_params, end_day, engine=engine,
+        **dict(engine_options or {})), executor).trajectories
 
     n_theta, n_rho = len(theta_values), len(rho_values)
     log_lik = np.empty((n_theta, n_rho))
     for i in range(n_theta):
-        trajectories = [outputs[i * n_replicates + r][0]
-                        for r in range(n_replicates)]
+        trajectories = outputs[i * n_replicates:(i + 1) * n_replicates]
         for j, rho in enumerate(rho_values):
             reps = np.array([
                 observation_model.loglik(window_obs, traj, float(rho), rng_bias)

@@ -20,12 +20,13 @@ from ..core.observation import ObservationModel
 from ..core.particle import Particle, ParticleEnsemble
 from ..core.priors import IndependentProduct
 from ..core.resampling import get_resampler
-from ..core.smc import BIAS_PARAM, _FirstWindowTask, _run_first_window_task
+from ..core.smc import BIAS_PARAM
 from ..core.weights import normalize_log_weights
 from ..data.sources import ObservationSet
 from ..hpc.executor import Executor, SerialExecutor
 from ..seir.parameters import DiseaseParameters
 from ..seir.seeding import SeedSequenceBank, register_ancillary_purpose
+from ..sim.ensemble import common_seed_grid, run_ensemble
 
 __all__ = ["SingleShotResult", "single_shot_importance_sampling"]
 
@@ -90,24 +91,19 @@ def single_shot_importance_sampling(
     seeds = bank.common_replicate_seeds(n_replicates)
     window_obs = observations.window(start_day, end_day)
 
-    tasks, meta = [], []
-    for i in range(n_parameter_draws):
-        draw = {name: float(draws[name][i]) for name in prior.names}
-        params = base_params.with_updates(
-            **{fld: draw[name] for name, fld in param_map.items()})
-        payload = params.to_dict()
-        for seed in seeds:
-            tasks.append(_FirstWindowTask(
-                params_payload=payload, seed=seed, end_day=end_day,
-                start_day=0, engine=engine,
-                engine_options=dict(engine_options or {})))
-            meta.append((i, seed))
-    outputs = executor.map(_run_first_window_task, tasks)
+    draw_dicts = [{name: float(draws[name][i]) for name in prior.names}
+                  for i in range(n_parameter_draws)]
+    outputs = run_ensemble(common_seed_grid(
+        [{fld: draw[name] for name, fld in param_map.items()}
+         for draw in draw_dicts],
+        seeds, base_params, end_day, engine=engine,
+        **dict(engine_options or {})), executor).trajectories
 
-    log_weights = np.empty(len(tasks))
+    log_weights = np.empty(len(outputs))
     particles = []
-    for k, ((i, seed), (trajectory, _cp)) in enumerate(zip(meta, outputs)):
-        draw = {name: float(draws[name][i]) for name in prior.names}
+    for k, trajectory in enumerate(outputs):
+        draw = draw_dicts[k // n_replicates]
+        seed = seeds[k % n_replicates]
         ll = observation_model.loglik(window_obs, trajectory,
                                       draw[BIAS_PARAM], rng_bias)
         log_weights[k] = ll

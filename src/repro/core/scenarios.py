@@ -529,21 +529,13 @@ class ScenarioSweep:
                    line_members: list[list[str]]) -> list[WindowResult]:
         """Compute one window for every world-line (reps only).
 
-        Batched configs flatten every line's group specs into one
-        :func:`~repro.hpc.sharding.simulate_group_sets` dispatch; scalar
-        configs fall back to per-line ``step_window`` (still deduplicated,
-        just not co-dispatched).
+        Every line's group specs are flattened into one
+        :func:`~repro.hpc.sharding.simulate_group_sets` dispatch.
         """
         reps = [members[0] for members in line_members]
         posteriors: list[ParticleEnsemble | None] = [
             results[rep][-1].posterior if index > 0 else None
             for rep in reps]
-        if not self.config.uses_batched_simulation:
-            return [
-                self.calibrators[rep].step_window(
-                    index, window, observations, posterior,
-                    n_proposals=plans[rep][0], resample_size=plans[rep][1])
-                for rep, posterior in zip(reps, posteriors)]
         pendings: list[PendingWindow] = []
         for rep, posterior in zip(reps, posteriors):
             pendings.append(self.calibrators[rep].propose_window(
@@ -554,7 +546,7 @@ class ScenarioSweep:
         layout = self.calibrators[reps[0]]._shard_layout_kwargs()
         shard_sets = simulate_group_sets(
             self.executor, [p.specs for p in pendings],
-            end_day=window.end_day, engine=self.config.engine,
+            end_day=window.end_day,
             engine_options=self.config.engine_options,
             retry=self.config.retry,
             on_failures=[self.calibrators[rep]._on_shard_failure

@@ -22,30 +22,30 @@ the incremental weight is the likelihood of the *new* window's observations
 alone.  Because the jittered draws constitute the next window's prior (the
 paper's construction), no proposal-density correction is applied.
 
-The weighting step runs on the batched ensemble path by default: segments
-are stacked once per source (``ParticleEnsemble.segment_matrix``), thinned
-with one binomial call (``BinomialBiasModel.apply_batch``) and scored with
-one vectorised likelihood evaluation per source
-(``ObservationModel.loglik_ensemble``) — O(1) NumPy calls per window instead
-of O(n_particles) Python iterations.  ``SMCConfig(weighting="scalar")``
-selects the per-particle reference implementation the batched path is
-cross-checked against.  All per-window ancillary randomness (jitter, bias
-thinning, resampling) draws from window-indexed streams of the
-:class:`~repro.seir.seeding.SeedSequenceBank`, so no two windows ever share
-a random stream.
-
-The *simulation* step is batched by default too
-(``SMCConfig(engine="binomial_leap_batched")``): both the first-window and
-every continuation ensemble are advanced as stacked
+Each window runs one production path:
+:meth:`SequentialCalibrator.propose_window` builds the proposal cloud, the
+sharded batched engine simulates it,
+:meth:`~SequentialCalibrator.assemble_window` stacks the outputs into the
+columnar :class:`ParticleEnsemble`, and
+:meth:`~SequentialCalibrator.weigh_window` weights and resamples it.  Both
+the first-window and every continuation ensemble are advanced as stacked
 ``(n_particles, n_compartments)`` state matrices by the
 :class:`~repro.seir.batch_engine.BatchedBinomialLeapEngine`, with no
-per-task dict/JSON checkpoint round-trips — the columnar
-:class:`ParticleEnsemble` is built directly from the stacked day-by-day
-outputs, and a member's scalar checkpoint is built only if it survives
-resampling (once per surviving ancestor).  Particles whose
-structural parameters differ (anything beyond the transmission rate, e.g. a
-``param_map`` targeting ``mild_fraction``) are grouped by structural
-identity and each group is stepped as its own batch.
+per-task dict/JSON checkpoint round-trips; a member's scalar checkpoint is
+built only if it survives resampling (once per surviving ancestor).
+Particles whose structural parameters differ (anything beyond the
+transmission rate, e.g. a ``param_map`` targeting ``mild_fraction``) are
+grouped by structural identity and each group is stepped as its own batch.
+Weighting stacks the segments once per source
+(``ParticleEnsemble.segment_matrix``), thins them with one binomial call
+(``BinomialBiasModel.apply_batch``) and scores them with one vectorised
+likelihood evaluation per source (``ObservationModel.loglik_ensemble``).
+All per-window ancillary randomness (jitter, bias thinning, resampling)
+draws from window-indexed streams of the
+:class:`~repro.seir.seeding.SeedSequenceBank`, so no two windows ever share
+a random stream.  The per-particle scalar-engine simulation and weighting
+loop the batched path is parity-tested against live in
+:mod:`repro.testing.reference`.
 
 The ensemble size itself can adapt between windows
 (``SMCConfig.size_policy``): after each window's weighting, an
@@ -89,12 +89,9 @@ Every shard draws from its own batch stream keyed by the ordered seed
 vector of its slice
 (:meth:`~repro.seir.seeding.SeedSequenceBank.shard_simulation_generators`),
 so a run is bit-reproducible given ``(base_seed, shard layout)`` and
-identical across executors for the same layout; different layouts — like
-scalar vs batched engines — agree in distribution only (see the batch RNG
-contract in :mod:`repro.seir.batch_engine`).  Selecting any scalar engine
-(``engine="binomial_leap"`` and friends) restores the per-particle executor
-path unchanged; the scalar engine is the reference oracle the batched
-engine is parity-tested against.
+identical across executors for the same layout; different layouts agree in
+distribution only (see the batch RNG contract in
+:mod:`repro.seir.batch_engine`).
 """
 
 from __future__ import annotations
@@ -113,9 +110,6 @@ from ..hpc.sharding import (GroupShards, GroupSpec, resolve_shard_layout,
 from ..seir.batch_engine import BatchTrajectory, leap_particle_snapshot
 from ..seir.checkpoint import (Checkpoint, CheckpointError, StackedLeapState,
                                stack_leap_snapshots)
-from ..seir.model import (BATCH_ENGINE_NAMES, ENGINE_NAMES,
-                          StochasticSEIRModel)
-from ..seir.outputs import Trajectory
 from ..seir.parameters import DiseaseParameters, ParameterOverride
 from ..seir.seeding import SeedSequenceBank, register_ancillary_purpose
 from .adaptive import temper_and_resample
@@ -162,12 +156,11 @@ class SMCConfig:
 
     The paper-scale configuration is ``n_parameter_draws=25_000,
     n_replicates=20, resample_size=10_000``; defaults here are laptop-scale
-    with identical algorithmic behaviour.
-
-    ``engine`` may name a scalar engine (per-particle tasks mapped through
-    the executor) or a batched ensemble engine (the default,
-    ``"binomial_leap_batched"``), which simulates whole windows as stacked
-    state matrices, sharded across the executor.
+    with identical algorithmic behaviour.  Every window is simulated by the
+    sharded batched binomial-leap engine (``engine_options`` are its
+    fresh-start keywords, e.g. ``steps_per_day``) and weighted on the
+    vectorised ensemble path; the per-particle oracles live in
+    :mod:`repro.testing.reference`.
 
     ``shard_size``/``n_shards`` control the sharded batched dispatch:
     ``n_shards="auto"`` (the default) cuts each structural group into one
@@ -175,7 +168,7 @@ class SMCConfig:
     single-shard fast path — while an explicit ``shard_size`` (members per
     shard; wins over ``n_shards``) or integer ``n_shards`` pins the layout,
     making results bit-reproducible across executors (see
-    :mod:`repro.hpc.sharding`).  Scalar engines ignore both knobs.
+    :mod:`repro.hpc.sharding`).
 
     ``size_policy`` selects the adaptive ensemble-size controller consulted
     after every window (:mod:`repro.core.ensemble_control`): ``"fixed"``
@@ -240,13 +233,11 @@ class SMCConfig:
     resample_size: int = 500
     n_continuations: int = 1
     resampler: str = "multinomial"
-    engine: str = "binomial_leap_batched"
     engine_options: dict = field(default_factory=dict)
     shard_size: int | None = None
     n_shards: int | str = "auto"
     base_seed: int = 20240215
     keep_weighted_ensemble: bool = False
-    weighting: str = "batched"
     size_policy: str | EnsembleSizePolicy = "fixed"
     size_policy_options: dict = field(default_factory=dict)
     resample_size_policy: str | EnsembleSizePolicy = "fixed"
@@ -272,22 +263,9 @@ class SMCConfig:
             raise ValueError("temper_threshold must lie in [0, 1]")
         if not 0.0 < self.temper_ess_floor < 1.0:
             raise ValueError("temper_ess_floor must lie in (0, 1)")
-        if self.weighting not in ("batched", "scalar"):
-            raise ValueError(
-                f"weighting must be 'batched' or 'scalar', got {self.weighting!r}")
-        if self.engine not in ENGINE_NAMES and \
-                self.engine not in BATCH_ENGINE_NAMES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; available: "
-                f"{ENGINE_NAMES + BATCH_ENGINE_NAMES}")
         validate_shard_policy(self.shard_size, self.n_shards)
         get_resampler(self.resampler)  # validate eagerly
         get_resampler(self.temper_resampler)
-
-    @property
-    def uses_batched_simulation(self) -> bool:
-        """True when ``engine`` names a whole-ensemble (batched) engine."""
-        return self.engine in BATCH_ENGINE_NAMES
 
     def size_policy_instance(self) -> EnsembleSizePolicy:
         """The configured ensemble-size controller, ready to consult."""
@@ -417,8 +395,9 @@ class _ShardCheckpoints(Sequence[Checkpoint]):
     :class:`~repro.seir.checkpoint.StackedLeapState`, in the scalar
     ``binomial_leap`` snapshot format (:func:`leap_particle_snapshot`).
     Each is built once and cached: resampling builds one per surviving
-    ancestor, and that ancestor's duplicates share the object (the
-    forecast and continuation payload caches key on ``id()``).
+    ancestor, and that ancestor's duplicates share the object (the next
+    window's parent stacking and the forecast payload cache key on
+    ``id()``).
     """
 
     def __init__(self, states: list[StackedLeapState],
@@ -460,45 +439,6 @@ class _ShardCheckpoints(Sequence[Checkpoint]):
                     state.seeds[j]))
             self._built[i] = checkpoint
         return checkpoint
-
-
-# --------------------------------------------------------------------------- #
-# Module-level simulation tasks (picklable for process pools).
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class _FirstWindowTask:
-    params_payload: dict
-    seed: int
-    end_day: int
-    start_day: int
-    engine: str
-    engine_options: dict
-
-
-def _run_first_window_task(task: _FirstWindowTask) -> tuple[Trajectory, dict]:
-    """Simulate day ``start_day`` .. ``end_day`` from scratch; checkpoint at end."""
-    params = DiseaseParameters.from_dict(task.params_payload)
-    model = StochasticSEIRModel(params, task.seed, engine=task.engine,
-                                start_day=task.start_day,
-                                **dict(task.engine_options))
-    trajectory = model.run_until(task.end_day)
-    return trajectory, model.checkpoint().to_dict()
-
-
-@dataclass(frozen=True)
-class _ContinuationTask:
-    checkpoint_payload: dict
-    override_payload: dict
-    end_day: int
-
-
-def _run_continuation_task(task: _ContinuationTask) -> tuple[Trajectory, dict]:
-    """Restart a checkpoint with overrides and simulate one window."""
-    checkpoint = Checkpoint.from_dict(task.checkpoint_payload)
-    override = ParameterOverride.from_dict(task.override_payload)
-    model = StochasticSEIRModel.from_checkpoint(checkpoint, override)
-    trajectory = model.run_until(task.end_day)
-    return trajectory, model.checkpoint().to_dict()
 
 
 # --------------------------------------------------------------------------- #
@@ -757,20 +697,10 @@ class SequentialCalibrator:
                 f"observations cover days [{observations.start_day}, "
                 f"{observations.end_day}) but window {index} needs "
                 f"[{window.start_day}, {window.end_day})")
-        self._window_shard_failures = []
-        if index == 0:
-            ensemble = self._first_window_ensemble(window)
-            sim_days = window.end_day - self.schedule.burn_in_start
-        else:
-            if posterior is None:
-                raise ValueError(
-                    f"window {index} is a continuation and needs the "
-                    "previous window's posterior")
-            ensemble = self._continuation_ensemble(window, index, posterior,
-                                                   n_proposals=n_proposals)
-            sim_days = window.n_days
-        return self.weigh_window(index, window, ensemble,
-                                 observations, sim_days=sim_days,
+        pending = self.propose_window(index, window, posterior,
+                                      n_proposals=n_proposals)
+        return self.weigh_window(index, window, self._window_ensemble(pending),
+                                 observations, sim_days=pending.sim_days,
                                  resample_size=resample_size)
 
     def planned_sizes_after(self, result: WindowResult, *,
@@ -831,21 +761,20 @@ class SequentialCalibrator:
         def sorted_dict(d: Mapping) -> dict:
             return {str(k): d[k] for k in sorted(d)}
 
-        layout = {}
-        if cfg.uses_batched_simulation:
-            layout = self._shard_layout_kwargs()
+        # "engine" and "weighting" name the one production path; they stay
+        # literal so stores written when other paths existed still resume.
         fingerprint = {
             "format_version": 1,
             "base_seed": cfg.base_seed,
-            "engine": cfg.engine,
+            "engine": "binomial_leap_batched",
             "engine_options": sorted_dict(cfg.engine_options),
-            "shard_layout": layout,
+            "shard_layout": self._shard_layout_kwargs(),
             "n_parameter_draws": cfg.n_parameter_draws,
             "n_replicates": cfg.n_replicates,
             "resample_size": cfg.resample_size,
             "n_continuations": cfg.n_continuations,
             "resampler": cfg.resampler,
-            "weighting": cfg.weighting,
+            "weighting": "batched",
             "size_policy": policy_tag(cfg.size_policy),
             "size_policy_options": sorted_dict(cfg.size_policy_options),
             "resample_size_policy": policy_tag(cfg.resample_size_policy),
@@ -1017,31 +946,6 @@ class SequentialCalibrator:
             return self.base_params
         return self.scenario.params_at(window.start_day, self.base_params)
 
-    def _params_for_draw(self, draw: Mapping[str, float],
-                         base: DiseaseParameters) -> DiseaseParameters:
-        updates = {fld: float(draw[name]) for name, fld in self.param_map.items()}
-        return base.with_updates(**updates)
-
-    def _scenario_restart_overrides(self, window: TimeWindow
-                                    ) -> dict[str, float]:
-        """Restart-knob values the scenario pins for this window's restarts.
-
-        A checkpoint carries the *previous* window's parameters, so every
-        restart-knob field any scenario override targets must be
-        re-asserted on restart — including fields whose override returns
-        them to the baseline value — or a stale override would leak
-        forward through the checkpoint.  Applied before the calibrated
-        ``param_map`` fields, which always win (validation forbids the
-        overlap anyway).
-        """
-        if self.scenario is None:
-            return {}
-        base = self.scenario.params_at(window.start_day, self.base_params)
-        fields = ({o.field for o in self.scenario.overrides}
-                  & set(ParameterOverride._PARAM_FIELDS))
-        return {field: float(getattr(base, field))
-                for field in sorted(fields)}
-
     def _shard_layout_kwargs(self) -> dict:
         """Resolve the configured shard policy against the executor.
 
@@ -1055,9 +959,9 @@ class SequentialCalibrator:
                                     n_shards=self.config.n_shards)
 
     # ------------------------------------------------------------------ #
-    # Split-phase batched API: propose -> simulate -> assemble.
+    # Split-phase API: propose -> simulate -> assemble -> weigh.
     #
-    # ``step_window`` fuses the three phases for a single scenario;
+    # ``step_window`` fuses the phases for a single scenario;
     # :class:`~repro.core.scenarios.ScenarioSweep` calls them separately so
     # that many scenarios' proposal clouds can be flattened into ONE shard
     # dispatch (``simulate_group_sets``).  Because per-shard RNG streams are
@@ -1072,15 +976,10 @@ class SequentialCalibrator:
         Consumes exactly the ancillary/jitter randomness the fused path
         consumes, in the same order, so
         ``assemble_window(p, simulate_groups(...))`` over the returned plan
-        is bit-identical to the classic in-place window.  Window 0 ignores
+        is bit-identical to the fused :meth:`step_window`.  Window 0 ignores
         ``posterior``; continuations require it (particles must carry
-        checkpoints).  Batched engines only — the scalar engines have no
-        group-spec representation to defer.
+        checkpoints).
         """
-        if not self.config.uses_batched_simulation:
-            raise ValueError(
-                f"propose_window requires a batched engine; "
-                f"{self.config.engine!r} simulates particle-at-a-time")
         self._window_shard_failures = []
         if index == 0:
             return self._propose_first_window(window)
@@ -1152,9 +1051,7 @@ class SequentialCalibrator:
             self.prior.sample(cfg.n_parameter_draws, rng_prior))
         seeds = np.array(self._bank.common_replicate_seeds(cfg.n_replicates),
                          dtype=np.int64)
-        # Replicates share the particle order of the scalar path
-        # (draw-major, replicate-minor), so the two paths are positionally
-        # comparable.
+        # Members are ordered draw-major, replicate-minor.
         pending = self._plan_window(
             0, window, window.end_day - self.schedule.burn_in_start,
             np.repeat(draws, cfg.n_replicates, axis=0),
@@ -1215,11 +1112,18 @@ class SequentialCalibrator:
             f"checkpoints ({window.label()})")
         return pending
 
+    def _window_ensemble(self, pending: PendingWindow) -> ParticleEnsemble:
+        """Simulate a pending window and assemble its ensemble.
+
+        One of the two seams :mod:`repro.testing.reference` overrides with
+        its per-particle scalar-engine oracle.
+        """
+        return self.assemble_window(pending, self._simulate_pending(pending))
+
     def _simulate_pending(self, pending: PendingWindow) -> list[GroupShards]:
         cfg = self.config
         return simulate_groups(self.executor, pending.specs,
                                end_day=pending.window.end_day,
-                               engine=cfg.engine,
                                engine_options=cfg.engine_options,
                                retry=cfg.retry,
                                on_failure=self._on_shard_failure,
@@ -1280,142 +1184,16 @@ class SequentialCalibrator:
                                           pending.member_params))
 
     # ------------------------------------------------------------------ #
-    def _first_window_ensemble(self, window: TimeWindow) -> ParticleEnsemble:
-        cfg = self.config
-        if cfg.uses_batched_simulation:
-            pending = self.propose_window(0, window)
-            return self.assemble_window(pending,
-                                        self._simulate_pending(pending))
-        base = self._window_base_params(window)
-        rng_prior = self._bank.ancillary_generator(_PURPOSE_PRIOR)
-        draws = self.prior.sample(cfg.n_parameter_draws, rng_prior)
-        seeds = self._bank.common_replicate_seeds(cfg.n_replicates)
-        draw_dicts = [{name: float(draws[name][i]) for name in self.prior.names}
-                      for i in range(cfg.n_parameter_draws)]
+    def _log_weights(self, index: int, window_obs: ObservationSet,
+                     ensemble: ParticleEnsemble,
+                     rng_bias: np.random.Generator) -> np.ndarray:
+        """Log-likelihood of every particle's segment, one call per source.
 
-        tasks = []
-        meta = []  # (draw_index, seed)
-        for i, draw in enumerate(draw_dicts):
-            payload = self._params_for_draw(draw, base).to_dict()
-            for seed in seeds:
-                tasks.append(_FirstWindowTask(
-                    params_payload=payload, seed=seed,
-                    end_day=window.end_day,
-                    start_day=self.schedule.burn_in_start,
-                    engine=cfg.engine,
-                    engine_options=dict(cfg.engine_options)))
-                meta.append((i, seed))
-        self._progress(f"window 0: simulating {len(tasks)} prior trajectories")
-        outputs = self.executor.map(_run_first_window_task, tasks)
-
-        particles = []
-        for (i, seed), (trajectory, cp_payload) in zip(meta, outputs):
-            particles.append(Particle(
-                params=draw_dicts[i], seed=seed,
-                segment=trajectory.window(window.start_day, window.end_day),
-                history=trajectory,
-                checkpoint=Checkpoint.from_dict(cp_payload)))
-        return ParticleEnsemble(particles)
-
-    def _continuation_ensemble(self, window: TimeWindow, index: int,
-                               posterior: ParticleEnsemble,
-                               n_proposals: int | None = None,
-                               ) -> ParticleEnsemble:
-        """Propose and simulate the next window's cloud at any size.
-
-        ``n_proposals`` (default ``continuation_ensemble_size``) is the
-        size-policy output: draw ``i`` descends from parent ``i mod
-        len(posterior)`` — cycling through the resampled posterior, which
-        reproduces the classic ``n_continuations`` replication when the
-        size is a multiple of it, subsamples an exchangeable prefix when
-        shrinking, and revisits parents when growing.  Each draw's restart
-        seed is keyed by ``(window, draw_index)`` alone
-        (:meth:`~repro.seir.seeding.SeedSequenceBank.window_draw_seed`), so
-        the seed vector is prefix-stable under size changes.
+        The other seam :mod:`repro.testing.reference` overrides, with its
+        per-particle weighting loop.
         """
-        cfg = self.config
-        if cfg.uses_batched_simulation:
-            pending = self.propose_window(index, window, posterior,
-                                          n_proposals=n_proposals)
-            return self.assemble_window(pending,
-                                        self._simulate_pending(pending))
-        n = int(n_proposals) if n_proposals is not None \
-            else cfg.continuation_ensemble_size
-        if n < 1:
-            raise ValueError("n_proposals must be >= 1")
-        rng_jitter = self._bank.ancillary_generator(_PURPOSE_JITTER,
-                                                    window_index=index)
-        parent_idx = np.arange(n) % len(posterior)
-        centers = {name: posterior.values(name)[parent_idx]
-                   for name in self.prior.names}
-        proposal = self.jitter.propose(centers, rng_jitter)
-
-        proposed_params = [{name: float(proposal[name][i])
-                            for name in self.prior.names} for i in range(n)]
-        seeds = [self._bank.window_draw_seed(index, i) for i in range(n)]
-        parents = [posterior[int(j)] for j in parent_idx]
-
-        # Resampling duplicates ancestors, and every continuation re-visits
-        # each parent, so serialise each distinct parent checkpoint once per
-        # window instead of once per task.
-        scenario_pins = self._scenario_restart_overrides(window)
-        payload_cache: dict[int, dict] = {}
-        tasks = []
-        for j, (draw, seed, parent) in enumerate(
-                zip(proposed_params, seeds, parents)):
-            if parent.checkpoint is None:
-                raise ValueError(
-                    f"window {index} restarts the previous posterior's "
-                    f"checkpoints, but its particle {int(parent_idx[j])} "
-                    "carries none")
-            payload = payload_cache.get(id(parent.checkpoint))
-            if payload is None:
-                payload = parent.checkpoint.to_dict()
-                payload_cache[id(parent.checkpoint)] = payload
-            override: dict = {"seed": seed}
-            override.update(scenario_pins)
-            override.update({fld: draw[name]
-                             for name, fld in self.param_map.items()})
-            tasks.append(_ContinuationTask(
-                checkpoint_payload=payload,
-                override_payload=override,
-                end_day=window.end_day))
-        self._progress(
-            f"window {index}: restarting {len(tasks)} checkpoints "
-            f"({window.label()})")
-        outputs = self.executor.map(_run_continuation_task, tasks)
-
-        particles = []
-        for draw, seed, parent, (segment, cp_payload) in zip(
-                proposed_params, seeds, parents, outputs):
-            history = parent.history.extended_by(segment) \
-                if parent.history is not None else segment
-            particles.append(Particle(
-                params=draw, seed=seed, segment=segment, history=history,
-                checkpoint=Checkpoint.from_dict(cp_payload)))
-        return ParticleEnsemble(particles)
-
-    # ------------------------------------------------------------------ #
-    def _scalar_log_weights(self, index: int, window_obs: ObservationSet,
-                            ensemble: ParticleEnsemble,
-                            rng_bias: np.random.Generator) -> np.ndarray:
-        """Per-particle reference weighting loop.
-
-        Kept as the cross-check oracle for the batched path (and selected by
-        ``SMCConfig(weighting="scalar")``).  In "sample" bias mode its
-        thinning draws interleave per particle, so it matches the batched
-        path exactly in "mean" mode and in distribution otherwise — see the
-        draw-order contract in :mod:`repro.core.bias`.
-        """
-        log_weights = np.empty(len(ensemble))
-        for i, particle in enumerate(ensemble):
-            if particle.segment is None:
-                raise ValueError(
-                    f"window {index}: particle {i} has no segment to weigh")
-            log_weights[i] = self.observation_model.loglik(
-                window_obs, particle.segment, particle.params[BIAS_PARAM],
-                rng_bias)
-        return log_weights
+        return self.observation_model.loglik_ensemble(
+            window_obs, ensemble, ensemble.values(BIAS_PARAM), rng_bias)
 
     def weigh_window(self, index: int, window: TimeWindow,
                      ensemble: ParticleEnsemble,
@@ -1445,12 +1223,8 @@ class SequentialCalibrator:
         rng_bias = self._bank.ancillary_generator(_PURPOSE_BIAS,
                                                   window_index=index)
 
-        if cfg.weighting == "batched":
-            log_weights = self.observation_model.loglik_ensemble(
-                window_obs, ensemble, ensemble.values(BIAS_PARAM), rng_bias)
-        else:
-            log_weights = self._scalar_log_weights(index, window_obs,
-                                                   ensemble, rng_bias)
+        log_weights = self._log_weights(index, window_obs, ensemble,
+                                        rng_bias)
         weighted_ensemble = ensemble.with_log_weights(log_weights)
 
         normalized = normalize_log_weights(log_weights)
@@ -1512,6 +1286,3 @@ class SequentialCalibrator:
             diagnostics=diagnostics,
             weighted_ensemble=weighted_ensemble
             if cfg.keep_weighted_ensemble else None)
-
-    # Pre-split-phase private name, kept for callers and tests.
-    _weigh_and_resample = weigh_window

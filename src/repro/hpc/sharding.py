@@ -40,9 +40,8 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from ..core.contracts import check_shaped
-from ..seir.batch_engine import BatchTrajectory
+from ..seir.batch_engine import BatchedBinomialLeapEngine, BatchTrajectory
 from ..seir.checkpoint import StackedLeapState, stack_leap_snapshots
-from ..seir.model import batch_engine_class
 from ..seir.parameters import DiseaseParameters
 from ..seir.seeding import batch_generator_for
 from ..seir.tauleap import transition_table_key
@@ -99,9 +98,8 @@ def structural_groups(params_list: Sequence[DiseaseParameters]) -> list[list[int
     transmission rate is carried per member.  With the calibrator's default
     ``param_map`` (theta only) there is exactly one group.  A ``param_map``
     targeting a *structural* field with a continuous jitter makes every
-    particle its own group, degrading the batched path to serial singleton
-    engines — for such maps prefer a scalar engine plus a parallel
-    executor.
+    particle its own group, degrading the batched path to singleton
+    engines (still sharded across the executor).
     """
     groups: dict[tuple, list[int]] = {}
     for idx, params in enumerate(params_list):
@@ -131,7 +129,6 @@ class ShardTask:
     seeds: np.ndarray
     thetas: np.ndarray
     end_day: int
-    engine: str
     engine_options: dict = field(default_factory=dict)
     start_day: int | None = None
     state: StackedLeapState | None = None
@@ -170,17 +167,16 @@ def run_shard(task: ShardTask) -> ShardResult:
     the one function, which is what makes shard results a pure function of
     the task payload regardless of which process runs them).
     """
-    engine_cls = batch_engine_class(task.engine)
     seeds = np.asarray(task.seeds, dtype=np.int64)
     thetas = np.asarray(task.thetas, dtype=np.float64)
     rng = batch_generator_for(seeds)
-    if task.state is not None:
-        engine = engine_cls.from_particle_snapshots(
-            task.state, task.params, seeds=seeds, thetas=thetas, rng=rng)
+    if task.start_day is not None:
+        engine = BatchedBinomialLeapEngine(task.params, seeds, thetas=thetas,
+                                           start_day=task.start_day, rng=rng,
+                                           **dict(task.engine_options))
     else:
-        engine = engine_cls(task.params, seeds, thetas=thetas,
-                            start_day=task.start_day, rng=rng,
-                            **dict(task.engine_options))
+        engine = BatchedBinomialLeapEngine.from_particle_snapshots(
+            task.state, task.params, seeds=seeds, thetas=thetas, rng=rng)
     batch = engine.run_until(task.end_day)
     state = None
     if task.return_state:
@@ -382,7 +378,7 @@ class GroupShards:
 
 
 def simulate_groups(executor: Executor, specs: Sequence[GroupSpec], *,
-                    end_day: int, engine: str, engine_options: dict | None = None,
+                    end_day: int, engine_options: dict | None = None,
                     shard_size: int | None = None, n_shards: int | None = None,
                     return_state: bool = True,
                     retry: RetryPolicy | None = None,
@@ -401,9 +397,8 @@ def simulate_groups(executor: Executor, specs: Sequence[GroupSpec], *,
     """
     tasks: list[ShardTask] = []
     layouts, placements = _plan_group_tasks(
-        specs, tasks, end_day=end_day, engine=engine,
-        engine_options=engine_options, shard_size=shard_size,
-        n_shards=n_shards, return_state=return_state)
+        specs, tasks, end_day=end_day, engine_options=engine_options,
+        shard_size=shard_size, n_shards=n_shards, return_state=return_state)
     results = dispatch_shards(executor, tasks, retry=retry,
                               on_failure=on_failure)
     return [GroupShards(bounds=layouts[g],
@@ -412,8 +407,7 @@ def simulate_groups(executor: Executor, specs: Sequence[GroupSpec], *,
 
 
 def _plan_group_tasks(specs: Sequence[GroupSpec], tasks: list[ShardTask], *,
-                      end_day: int, engine: str,
-                      engine_options: dict | None,
+                      end_day: int, engine_options: dict | None,
                       shard_size: int | None, n_shards: int | None,
                       return_state: bool
                       ) -> tuple[list[list[tuple[int, int]]], list[list[int]]]:
@@ -441,7 +435,6 @@ def _plan_group_tasks(specs: Sequence[GroupSpec], tasks: list[ShardTask], *,
             tasks.append(ShardTask(
                 shard_id=len(tasks), params=spec.params,
                 seeds=seeds[lo:hi], thetas=thetas[lo:hi], end_day=end_day,
-                engine=engine,
                 engine_options=(dict(engine_options or {})
                                 if spec.start_day is not None else {}),
                 start_day=spec.start_day, state=state,
@@ -452,8 +445,7 @@ def _plan_group_tasks(specs: Sequence[GroupSpec], tasks: list[ShardTask], *,
 
 def simulate_group_sets(executor: Executor,
                         spec_sets: Sequence[Sequence[GroupSpec]], *,
-                        end_day: int, engine: str,
-                        engine_options: dict | None = None,
+                        end_day: int, engine_options: dict | None = None,
                         shard_size: int | None = None,
                         n_shards: int | None = None,
                         return_state: bool = True,
@@ -487,9 +479,9 @@ def simulate_group_sets(executor: Executor,
     task_owner: list[int] = []  # task id -> spec-set index
     for set_index, specs in enumerate(spec_sets):
         layouts, placements = _plan_group_tasks(
-            specs, tasks, end_day=end_day, engine=engine,
-            engine_options=engine_options, shard_size=shard_size,
-            n_shards=n_shards, return_state=return_state)
+            specs, tasks, end_day=end_day, engine_options=engine_options,
+            shard_size=shard_size, n_shards=n_shards,
+            return_state=return_state)
         set_layouts.append(layouts)
         set_placements.append(placements)
         task_owner.extend([set_index] * (len(tasks) - len(task_owner)))

@@ -9,7 +9,7 @@ model) on demand, so scripts and benches configure runs declaratively.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from ..core.diagnostics import DEGENERACY_THRESHOLD
 from ..core.observation import ObservationModel, paper_observation_model
@@ -31,7 +31,8 @@ class CalibrationConfig:
 
     Attributes mirror section V of the paper; see
     :func:`paper_calibration_config` for the paper's exact settings at
-    laptop scale.
+    laptop scale.  The dict-valued fields are left out of the hash (not out
+    of equality), so a config can key a cache.
     """
 
     window_breaks: tuple[int, ...] = (20, 34, 48, 62, 76)
@@ -54,10 +55,7 @@ class CalibrationConfig:
     sigma: float = 1.0
     bias_mode: str = "sample"
     resampler: str = "multinomial"
-    #: "binomial_leap_batched" steps each window's whole ensemble as stacked
-    #: state matrices, sharded across the executor; any scalar engine name
-    #: restores the per-particle executor path.
-    engine: str = "binomial_leap_batched"
+    #: Binomial-leap sub-steps per simulated day.
     steps_per_day: int = 4
     #: Batched-path shard layout: members per shard, or an explicit shard
     #: count; the default "auto" policy cuts one shard per executor worker
@@ -69,12 +67,13 @@ class CalibrationConfig:
     #: (per-window particle-step cap); options are the policy's constructor
     #: keywords (see repro.core.ensemble_control).
     size_policy: str = "fixed"
-    size_policy_options: dict = field(default_factory=dict)
+    size_policy_options: dict = field(default_factory=dict, hash=False)
     #: Posterior-size controller (same policy names/options as size_policy):
     #: decides per window how many particles the resampled posterior keeps;
     #: "fixed" keeps resample_size throughout.
     resample_size_policy: str = "fixed"
-    resample_size_policy_options: dict = field(default_factory=dict)
+    resample_size_policy_options: dict = field(default_factory=dict,
+                                               hash=False)
     #: Tempered rescue of degenerate windows: when enabled, a window whose
     #: pre-resampling ESS fraction drops below temper_threshold is resampled
     #: through the staged tempered bridge (repro.core.adaptive) instead of a
@@ -93,7 +92,7 @@ class CalibrationConfig:
     base_seed: int = 20240215
     keep_weighted_ensemble: bool = False
 
-    disease_overrides: dict = field(default_factory=dict)
+    disease_overrides: dict = field(default_factory=dict, hash=False)
 
     #: Fault-tolerant sharded dispatch (repro.hpc.faults): more than one
     #: attempt (or a per-shard timeout) builds a RetryPolicy — failed /
@@ -113,6 +112,13 @@ class CalibrationConfig:
     #: everything).  Pruning runs post-run because batch resume restores a
     #: gapless window prefix; the streaming service prunes continuously.
     checkpoint_keep_last: int | None = None
+
+    def __post_init__(self) -> None:
+        # Checked up front: a bad value would otherwise surface only in the
+        # post-run prune, after every window had been computed and written.
+        if self.checkpoint_keep_last is not None and \
+                self.checkpoint_keep_last < 1:
+            raise ValueError("checkpoint_keep_last must be >= 1 or None")
 
     # ------------------------------------------------------------------ #
     def schedule(self) -> WindowSchedule:
@@ -141,11 +147,7 @@ class CalibrationConfig:
             resample_size=self.resample_size,
             n_continuations=self.n_continuations,
             resampler=self.resampler,
-            engine=self.engine,
-            engine_options=({"steps_per_day": self.steps_per_day}
-                            if self.engine in ("binomial_leap",
-                                               "binomial_leap_batched")
-                            else {}),
+            engine_options={"steps_per_day": self.steps_per_day},
             shard_size=self.shard_size,
             n_shards=self.n_shards,
             base_seed=self.base_seed,
@@ -203,11 +205,10 @@ class CalibrationConfig:
         """Scale the ensemble sizes (e.g. ``factor=50`` approaches paper scale)."""
         if factor <= 0:
             raise ValueError("factor must be positive")
-        return CalibrationConfig(**{
-            **self.to_dict(),
-            "n_parameter_draws": max(1, int(self.n_parameter_draws * factor)),
-            "resample_size": max(1, int(self.resample_size * factor)),
-        })
+        return replace(
+            self,
+            n_parameter_draws=max(1, int(self.n_parameter_draws * factor)),
+            resample_size=max(1, int(self.resample_size * factor)))
 
 
 def paper_calibration_config(**overrides) -> CalibrationConfig:

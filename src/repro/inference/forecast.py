@@ -8,18 +8,19 @@ particle is restarted from its stored state with a fresh seed (parameters
 held at their posterior values) and simulated ``horizon_days`` forward; the
 ensemble of continuations is the posterior predictive.
 
-By default the restart runs on the **sharded batched path**: the posterior's
-checkpoints are stacked per structural group, split into contiguous shards,
-and advanced by the
+Calibrator posteriors restart on the **sharded batched path**: the
+posterior's checkpoints are stacked per structural group, split into
+contiguous shards, and advanced by the
 :class:`~repro.seir.batch_engine.BatchedBinomialLeapEngine` across the
 executor's workers (:mod:`repro.hpc.sharding`) — one batched engine per
 shard instead of one scalar task per particle.  Per-shard streams are keyed
 by each shard's slice of the forecast seed vector, so a forecast is
 bit-reproducible given ``(base_seed, shard layout)`` and identical across
-executors for the same layout.  ``path="scalar"`` restores the per-particle
-task fan-out (the oracle the batched forecast is parity-tested against);
-``path="auto"`` falls back to it when checkpoints are not batchable
-(non-leap engines or an active transmission schedule).
+executors for the same layout.  Checkpoints that cannot share one batch
+(non-leap engines, an active transmission schedule, or differing days)
+restart per particle instead, one checkpoint-restart task each — the path
+:func:`repro.testing.reference.reference_forecast` also forces for the
+batched forecast's parity oracle.
 """
 
 from __future__ import annotations
@@ -29,12 +30,14 @@ from typing import Mapping, Sequence
 
 from ..core.particle import Particle, ParticleEnsemble
 from ..core.posterior import TrajectoryRibbon, trajectory_ribbon
-from ..core.smc import _run_continuation_task, _ContinuationTask
 from ..data.sources import CASES
 from ..hpc.executor import Executor, SerialExecutor
 from ..hpc.sharding import (build_group_specs, resolve_shard_layout,
                             simulate_groups, structural_groups)
+from ..seir.checkpoint import Checkpoint
+from ..seir.model import StochasticSEIRModel
 from ..seir.outputs import Trajectory
+from ..seir.parameters import ParameterOverride
 from ..seir.seeding import mix_seed, register_stream_tag
 
 __all__ = ["Forecast", "forecast_from_posterior", "forecast_scenarios"]
@@ -46,9 +49,20 @@ __all__ = ["Forecast", "forecast_from_posterior", "forecast_scenarios"]
 _FORECAST_STREAM = register_stream_tag(
     "forecast", 9100, description="posterior-predictive continuation seeds")
 
-#: Engine advancing stacked forecast shards (per-particle checkpoints are
-#: stored in this engine family's scalar snapshot format).
-_BATCH_FORECAST_ENGINE = "binomial_leap_batched"
+
+@dataclass(frozen=True)
+class _ContinuationTask:
+    checkpoint_payload: dict
+    seed: int
+    end_day: int
+
+
+def _run_continuation_task(task: _ContinuationTask) -> Trajectory:
+    """Restart a checkpoint under a fresh seed and simulate to ``end_day``."""
+    model = StochasticSEIRModel.from_checkpoint(
+        Checkpoint.from_dict(task.checkpoint_payload),
+        ParameterOverride(seed=task.seed))
+    return model.run_until(task.end_day)
 
 
 @dataclass(frozen=True)
@@ -71,7 +85,8 @@ class Forecast:
 
 def _forecast_entries(posterior: ParticleEnsemble, base_seed: int,
                       n_per_particle: int) -> tuple[list[Particle], list[int]]:
-    """Replicate-major entry order shared by the scalar and batched paths."""
+    """Replicate-major entry order shared by the per-particle and batched
+    paths."""
     entries: list[Particle] = []
     seeds: list[int] = []
     for rep in range(n_per_particle):
@@ -89,7 +104,7 @@ def _batchable(posterior: ParticleEnsemble) -> bool:
 
     Requires leap-format snapshots with no active transmission schedule,
     all sitting at one shared day and ``steps_per_day`` (a batch advances
-    on a single clock); anything else forecasts on the scalar path.
+    on a single clock); anything else forecasts per particle.
     """
     cps = [p.checkpoint for p in posterior]
     if any(cp is None or cp.engine_name != "binomial_leap"
@@ -102,9 +117,10 @@ def _batchable(posterior: ParticleEnsemble) -> bool:
                and cp.snapshot.get("steps_per_day") == steps for cp in cps)
 
 
-def _scalar_forecast(entries: list[Particle], seeds: list[int],
-                     end_day: int, executor: Executor) -> list[Trajectory]:
-    """Reference path: one checkpoint-restart task per forecast entry.
+def _per_particle_forecast(entries: list[Particle], seeds: list[int],
+                           end_day: int, executor: Executor
+                           ) -> list[Trajectory]:
+    """One checkpoint-restart task per forecast entry.
 
     Replicates (and resampled duplicates) share checkpoint objects, so
     each distinct checkpoint is serialised once, not once per entry.
@@ -116,11 +132,9 @@ def _scalar_forecast(entries: list[Particle], seeds: list[int],
         if payload is None:
             payload = p.checkpoint.to_dict()
             payload_cache[id(p.checkpoint)] = payload
-        tasks.append(_ContinuationTask(checkpoint_payload=payload,
-                                       override_payload={"seed": seed},
+        tasks.append(_ContinuationTask(checkpoint_payload=payload, seed=seed,
                                        end_day=end_day))
-    outputs = executor.map(_run_continuation_task, tasks)
-    return [traj for traj, _cp in outputs]
+    return executor.map(_run_continuation_task, tasks)
 
 
 def _batched_forecast(entries: list[Particle], seeds: list[int],
@@ -133,7 +147,6 @@ def _batched_forecast(entries: list[Particle], seeds: list[int],
         groups, params_list, seeds,
         snapshots=[p.checkpoint.snapshot for p in entries])
     shards = simulate_groups(executor, specs, end_day=end_day,
-                             engine=_BATCH_FORECAST_ENGINE,
                              return_state=False, **layout)
     trajectories: list[Trajectory | None] = [None] * len(entries)
     for indices, group in zip(groups, shards):
@@ -146,7 +159,6 @@ def forecast_from_posterior(posterior: ParticleEnsemble, horizon_days: int,
                             executor: Executor | None = None,
                             base_seed: int = 0,
                             n_per_particle: int = 1, *,
-                            path: str = "auto",
                             shard_size: int | None = None,
                             n_shards: int | str = "auto") -> Forecast:
     """Simulate the posterior ensemble ``horizon_days`` past its checkpoints.
@@ -160,18 +172,13 @@ def forecast_from_posterior(posterior: ParticleEnsemble, horizon_days: int,
         Days to simulate beyond the checkpoint day.
     executor:
         Parallel backend (forecasting is embarrassingly parallel too); the
-        batched path fans *shards* across it, the scalar path per-particle
-        tasks.
+        batched path fans *shards* across it, the per-particle path one
+        task per entry.
     base_seed:
         Entropy for the fresh continuation seeds.
     n_per_particle:
         Stochastic continuations per particle (forecast spread includes
         simulator noise, not just parameter uncertainty).
-    path:
-        ``"batched"`` (sharded whole-cloud restart; raises if the
-        checkpoints are not batchable), ``"scalar"`` (per-particle tasks,
-        the parity oracle), or ``"auto"`` — batched whenever the
-        checkpoints support it, scalar otherwise.
     shard_size / n_shards:
         Batched-path shard layout (see :class:`~repro.core.smc.SMCConfig`);
         ``"auto"`` targets one shard per executor worker.
@@ -180,9 +187,6 @@ def forecast_from_posterior(posterior: ParticleEnsemble, horizon_days: int,
         raise ValueError("horizon_days must be >= 1")
     if n_per_particle < 1:
         raise ValueError("n_per_particle must be >= 1")
-    if path not in ("auto", "batched", "scalar"):
-        raise ValueError(f"path must be 'auto', 'batched' or 'scalar', "
-                         f"got {path!r}")
     executor = executor or SerialExecutor()
     layout = resolve_shard_layout(executor, shard_size=shard_size,
                                   n_shards=n_shards)
@@ -194,20 +198,12 @@ def forecast_from_posterior(posterior: ParticleEnsemble, horizon_days: int,
     end_day = start_day + horizon_days
 
     entries, seeds = _forecast_entries(posterior, base_seed, n_per_particle)
-    if path == "auto":
-        path = "batched" if _batchable(posterior) else "scalar"
-    elif path == "batched" and not _batchable(posterior):
-        # Silently dropping a transmission schedule (or mis-restarting a
-        # non-leap engine) would skew the forecast; refuse loudly instead.
-        raise ValueError(
-            "path='batched' requires binomial_leap checkpoints sharing one "
-            "day and steps_per_day, with no active transmission schedule; "
-            "use path='auto' or 'scalar'")
-    if path == "batched":
+    if _batchable(posterior):
         trajectories = _batched_forecast(entries, seeds, end_day, executor,
                                          layout)
     else:
-        trajectories = _scalar_forecast(entries, seeds, end_day, executor)
+        trajectories = _per_particle_forecast(entries, seeds, end_day,
+                                              executor)
     return Forecast(start_day=start_day, horizon_days=horizon_days,
                     trajectories=tuple(trajectories))
 
@@ -217,7 +213,6 @@ def forecast_scenarios(posteriors: "Mapping[str, ParticleEnsemble]",
                        executor: Executor | None = None,
                        base_seed: int = 0,
                        n_per_particle: int = 1, *,
-                       path: str = "auto",
                        shard_size: int | None = None,
                        n_shards: int | str = "auto") -> dict[str, Forecast]:
     """Fan :func:`forecast_from_posterior` out over per-scenario posteriors.
@@ -236,6 +231,6 @@ def forecast_scenarios(posteriors: "Mapping[str, ParticleEnsemble]",
     executor = executor or SerialExecutor()
     return {name: forecast_from_posterior(
         posteriors[name], horizon_days, executor=executor,
-        base_seed=base_seed, n_per_particle=n_per_particle, path=path,
+        base_seed=base_seed, n_per_particle=n_per_particle,
         shard_size=shard_size, n_shards=n_shards)
         for name in sorted(posteriors)}

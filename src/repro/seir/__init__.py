@@ -8,8 +8,7 @@ from .compartments import (Compartment, N_COMPARTMENTS, TransitionSpec,
                            build_transitions, infectiousness_weights)
 from .events import EventDrivenEngine, ScheduledEvent
 from .gillespie import GillespieEngine
-from .model import (BATCH_ENGINE_NAMES, ENGINE_NAMES, StochasticSEIRModel,
-                    batch_engine_class, engine_class)
+from .model import ENGINE_NAMES, StochasticSEIRModel, engine_class
 from .outputs import Trajectory, TrajectoryBuilder
 from .parameters import DiseaseParameters, ParameterOverride, chicago_defaults
 from .seeding import (SeedSequenceBank, batch_generator_for, generator_for,
@@ -30,5 +29,4 @@ __all__ = [
     "Checkpoint", "CheckpointError", "StackedLeapState",
     "stack_leap_snapshots",
     "StochasticSEIRModel", "engine_class", "ENGINE_NAMES",
-    "batch_engine_class", "BATCH_ENGINE_NAMES",
 ]

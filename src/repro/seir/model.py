@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Type
 
 from ..data.schedule import PiecewiseConstant
-from .batch_engine import BatchedBinomialLeapEngine
 from .checkpoint import Checkpoint
 from .compartments import Compartment
 from .events import EventDrivenEngine
@@ -20,8 +19,7 @@ from .outputs import Trajectory
 from .parameters import DiseaseParameters, ParameterOverride
 from .tauleap import BinomialLeapEngine
 
-__all__ = ["StochasticSEIRModel", "engine_class", "ENGINE_NAMES",
-           "batch_engine_class", "BATCH_ENGINE_NAMES"]
+__all__ = ["StochasticSEIRModel", "engine_class", "ENGINE_NAMES"]
 
 _ENGINES: dict[str, Type] = {
     BinomialLeapEngine.name: BinomialLeapEngine,
@@ -31,16 +29,6 @@ _ENGINES: dict[str, Type] = {
 
 ENGINE_NAMES = tuple(sorted(_ENGINES))
 
-#: Ensemble engines stepping many trajectories per instance.  They live in
-#: their own registry because their constructor contract differs (a seed
-#: *vector* plus per-member thetas) and because the per-trajectory facade
-#: below cannot wrap them.
-_BATCH_ENGINES: dict[str, Type] = {
-    BatchedBinomialLeapEngine.name: BatchedBinomialLeapEngine,
-}
-
-BATCH_ENGINE_NAMES = tuple(sorted(_BATCH_ENGINES))
-
 
 def engine_class(name: str) -> Type:
     """Resolve a scalar (one-trajectory) engine name to its class."""
@@ -49,16 +37,6 @@ def engine_class(name: str) -> Type:
     except KeyError:
         raise ValueError(
             f"unknown engine {name!r}; available: {ENGINE_NAMES}") from None
-
-
-def batch_engine_class(name: str) -> Type:
-    """Resolve a batched (whole-ensemble) engine name to its class."""
-    try:
-        return _BATCH_ENGINES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown batch engine {name!r}; available: "
-            f"{BATCH_ENGINE_NAMES}") from None
 
 
 class StochasticSEIRModel:

@@ -1,10 +1,11 @@
 """Ensemble sweeps: many simulations over a parameter/seed grid.
 
-Used by the baselines (single-shot importance sampling, ABC, MCMC burn-in
-pools) and the scaling benches.  The SMC driver has its own task plumbing in
-:mod:`repro.core.smc`; this module provides the general-purpose version with
-the same picklability discipline (module-level task function over a declared
-dataclass payload — the shape the executor-hygiene lint enforces).
+The per-trajectory fan-out of the baselines (single-shot importance
+sampling, grid and ABC dispatch its member task) and the scaling benches.
+The calibrator simulates through the sharded batched engine of
+:mod:`repro.hpc.sharding` instead; both keep the same picklability
+discipline (module-level task function over a declared dataclass payload —
+the shape the executor-hygiene lint enforces).
 """
 
 from __future__ import annotations

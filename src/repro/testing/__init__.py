@@ -1,4 +1,4 @@
-"""Reusable test scaffolding: bitwise parity oracles and fixtures.
+"""Reusable test scaffolding: parity oracles, reference paths, fixtures.
 
 Shipped inside the package (rather than under ``tests/``) so the parity
 guarantees of ``docs/scenarios.md`` are assertable by downstream users'
@@ -10,6 +10,7 @@ from .parity import (assert_ensembles_identical, assert_particles_identical,
                      assert_window_results_identical, parity_calibrator,
                      parity_config, parity_sweep, parity_truth,
                      statistical_diagnostics)
+from .reference import ReferenceCalibrator, reference_forecast
 
 __all__ = [
     "assert_trajectories_identical",
@@ -22,4 +23,6 @@ __all__ = [
     "parity_config",
     "parity_calibrator",
     "parity_sweep",
+    "ReferenceCalibrator",
+    "reference_forecast",
 ]

@@ -33,6 +33,7 @@ from ..core.scenarios import ScenarioSweep
 from ..data import PiecewiseConstant
 from ..seir import DiseaseParameters
 from ..sim import make_ground_truth
+from .reference import ReferenceCalibrator
 
 __all__ = [
     "assert_trajectories_identical",
@@ -169,14 +170,13 @@ def parity_truth(population: int = 50_000, horizon: int = 35,
 
 
 def parity_config(base_seed: int = 17, **config_kwargs) -> SMCConfig:
-    """Small batched config with the fixed shard layout the oracles pin.
+    """Small config with the fixed shard layout the oracles pin.
 
     ``n_shards=3`` (unless overridden) keeps shard boundaries identical
     across serial and pooled executors, so cross-executor comparisons are
     bitwise rather than merely statistical.
     """
     config_kwargs.setdefault("n_shards", 3)
-    config_kwargs.setdefault("engine", "binomial_leap_batched")
     return SMCConfig(n_parameter_draws=30, n_replicates=2, resample_size=40,
                      base_seed=base_seed, **config_kwargs)
 
@@ -186,16 +186,25 @@ _PARITY_BREAKS = (8, 16, 24, 32)
 
 def parity_calibrator(truth, *, scenario=None, executor=None,
                       breaks=_PARITY_BREAKS, base_seed: int = 17,
-                      progress=None, **config_kwargs) -> SequentialCalibrator:
-    """A single-scenario calibrator over the standard parity environment."""
-    return SequentialCalibrator(
+                      progress=None, engine: str | None = None,
+                      **config_kwargs) -> SequentialCalibrator:
+    """A single-scenario calibrator over the standard parity environment.
+
+    ``engine`` names a scalar engine to build the per-particle
+    :class:`~repro.testing.reference.ReferenceCalibrator` on instead of
+    the production calibrator.
+    """
+    cls, extra = SequentialCalibrator, {}
+    if engine is not None:
+        cls, extra = ReferenceCalibrator, {"engine": engine}
+    return cls(
         base_params=truth.params,
         prior=paper_first_window_prior(),
         jitter=paper_window_jitter(),
         observation_model=paper_observation_model(),
         schedule=WindowSchedule.from_breaks(list(breaks)),
         config=parity_config(base_seed, **config_kwargs),
-        executor=executor, progress=progress, scenario=scenario)
+        executor=executor, progress=progress, scenario=scenario, **extra)
 
 
 def parity_sweep(truth, scenarios, *, executor=None, breaks=_PARITY_BREAKS,

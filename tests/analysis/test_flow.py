@@ -27,8 +27,7 @@ GOOD = FLOW_FIXTURES / "good"
 SHIPPED_DISPATCH_TARGETS = {
     "repro.hpc.sharding.run_shard",
     "repro.sim.ensemble._run_member_task",
-    "repro.core.smc._run_first_window_task",
-    "repro.core.smc._run_continuation_task",
+    "repro.inference.forecast._run_continuation_task",
 }
 
 
@@ -134,11 +133,16 @@ class TestSelfApplication:
 
     def test_certificates_declare_their_soundness_boundary(self):
         """Dynamic engine construction must show up as unresolved calls,
-        not be silently absorbed into a 'pure' verdict."""
+        not be silently absorbed into a 'pure' verdict: the forecast
+        restart picks its engine class by name (``engine_class``), so the
+        engine's own methods stay unresolved."""
         _, certs = run_flow([SRC])
-        shard = next(c for c in certs
-                     if c["target"] == "repro.hpc.sharding.run_shard")
-        assert shard["unresolved_calls"], shard
+        restart = next(
+            c for c in certs
+            if c["target"] == "repro.inference.forecast._run_continuation_task")
+        assert "repro.seir.model.engine_class" in restart["closure"]
+        assert any(u["call"] == "self._engine.run_until"
+                   for u in restart["unresolved_calls"]), restart
 
 
 class TestWaivers:

@@ -1,8 +1,8 @@
 """Tests for the batched simulation path of the sequential calibrator.
 
-The scalar engine path is the reference oracle; the batched path must agree
-with it *distributionally* (overlapping per-window credible intervals, the
-PR-1 weighting precedent) while bypassing the executor and the per-task
+The per-particle scalar-engine calibrator of :mod:`repro.testing.reference`
+is the oracle; the batched path must agree with it *distributionally*
+(overlapping per-window credible intervals) while skipping the per-task
 dict/JSON checkpoint round-trips entirely.
 """
 
@@ -18,6 +18,7 @@ from repro.data import PiecewiseConstant
 from repro.hpc import SerialExecutor
 from repro.seir import Checkpoint, DiseaseParameters
 from repro.sim import make_ground_truth
+from repro.testing import ReferenceCalibrator
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +31,12 @@ def small_truth():
 
 def calibrator(schedule, truth, engine, *, base_seed=17, executor=None,
                param_map=None, prior=None, jitter=None, n_continuations=1):
-    return SequentialCalibrator(
+    """The production calibrator for ``"binomial_leap_batched"``, the
+    per-particle reference on any scalar engine name."""
+    cls, kwargs = SequentialCalibrator, {}
+    if engine != "binomial_leap_batched":
+        cls, kwargs = ReferenceCalibrator, {"engine": engine}
+    return cls(
         base_params=truth.params,
         prior=prior or paper_first_window_prior(),
         jitter=jitter or paper_window_jitter(),
@@ -38,23 +44,16 @@ def calibrator(schedule, truth, engine, *, base_seed=17, executor=None,
         schedule=schedule,
         config=SMCConfig(n_parameter_draws=40, n_replicates=2,
                          resample_size=60, base_seed=base_seed,
-                         engine=engine, n_continuations=n_continuations),
+                         n_continuations=n_continuations),
         executor=executor,
-        param_map=param_map)
+        param_map=param_map, **kwargs)
 
 
 class TestConfig:
-    def test_batched_engine_is_default(self):
-        assert SMCConfig().engine == "binomial_leap_batched"
-        assert SMCConfig().uses_batched_simulation
-
-    def test_scalar_engines_not_batched(self):
-        assert not SMCConfig(engine="binomial_leap").uses_batched_simulation
-        assert not SMCConfig(engine="gillespie").uses_batched_simulation
-
-    def test_unknown_engine_rejected_eagerly(self):
+    def test_unknown_engine_rejected_eagerly(self, small_truth):
         with pytest.raises(ValueError, match="unknown engine"):
-            SMCConfig(engine="bogus_engine")
+            calibrator(WindowSchedule.from_breaks([10, 20]), small_truth,
+                       "bogus_engine")
 
 
 class TestScalarBatchedParity:
@@ -170,8 +169,7 @@ class TestBatchedRunBehaviour:
             base_params=small_truth.params, prior=prior, jitter=jitter,
             observation_model=paper_observation_model(), schedule=schedule,
             config=SMCConfig(n_parameter_draws=8, n_replicates=2,
-                             resample_size=12, base_seed=5,
-                             engine="binomial_leap_batched"),
+                             resample_size=12, base_seed=5),
             param_map={"theta": "transmission_rate",
                        "mild": "mild_fraction"})
         result = calib.run(small_truth.observations())[0]
@@ -183,32 +181,3 @@ class TestBatchedRunBehaviour:
             assert p.checkpoint.params.transmission_rate == pytest.approx(
                 p.params["theta"])
 
-
-class TestContinuationPayloadCache:
-    def test_parent_checkpoints_serialised_once_per_window(self, small_truth,
-                                                           monkeypatch):
-        """Scalar path: to_dict once per distinct parent, not per task."""
-        schedule = WindowSchedule.from_breaks([10, 20, 30])
-        calib = calibrator(schedule, small_truth, "binomial_leap",
-                           n_continuations=3)
-        obs = small_truth.observations()
-        window0, window1 = list(calib.schedule)
-        posterior = calib._weigh_and_resample(
-            0, window0, calib._first_window_ensemble(window0), obs).posterior
-
-        parent_ids = {id(p.checkpoint) for p in posterior}
-        counts = {"parent_to_dict": 0}
-        original = Checkpoint.to_dict
-
-        def counting_to_dict(self):
-            if id(self) in parent_ids:
-                counts["parent_to_dict"] += 1
-            return original(self)
-
-        monkeypatch.setattr(Checkpoint, "to_dict", counting_to_dict)
-        ensemble = calib._continuation_ensemble(window1, 1, posterior)
-        # 60 parents x 3 continuations = 180 tasks, but each distinct parent
-        # checkpoint object (resampling duplicates share one) is serialised
-        # exactly once.
-        assert len(ensemble) == 180
-        assert counts["parent_to_dict"] == len(parent_ids)

@@ -220,17 +220,22 @@ class TestCalibratorParity:
                                  rho_schedule=PiecewiseConstant.constant(0.7))
 
     def run(self, truth, weighting, bias_mode, seed=31):
+        """Production run, or (``weighting="scalar"``) the reference
+        calibrator weighing per particle over the production simulation."""
         from repro.core import (SequentialCalibrator, WindowSchedule,
                                 paper_first_window_prior, paper_window_jitter)
-        calib = SequentialCalibrator(
+        from repro.testing import ReferenceCalibrator
+        cls, kwargs = SequentialCalibrator, {}
+        if weighting == "scalar":
+            cls, kwargs = ReferenceCalibrator, {"engine": None}
+        calib = cls(
             base_params=truth.params,
             prior=paper_first_window_prior(),
             jitter=paper_window_jitter(),
             observation_model=paper_observation_model(bias_mode=bias_mode),
             schedule=WindowSchedule.from_breaks([10, 20, 30]),
             config=SMCConfig(n_parameter_draws=25, n_replicates=2,
-                             resample_size=30, base_seed=seed,
-                             weighting=weighting))
+                             resample_size=30, base_seed=seed), **kwargs)
         return calib.run(truth.observations())
 
     @pytest.mark.parametrize("bias_mode", ["mean", "sample"])
@@ -255,7 +260,3 @@ class TestCalibratorParity:
             assert np.array_equal(a.posterior.values("theta"),
                                   b.posterior.values("theta"))
             assert np.array_equal(a.posterior.seeds(), b.posterior.seeds())
-
-    def test_weighting_config_validated(self):
-        with pytest.raises(ValueError, match="weighting"):
-            SMCConfig(weighting="turbo")

@@ -16,6 +16,7 @@ from repro.seir import (BatchTrajectory, Checkpoint, DiseaseParameters,
                         StackedLeapState, Trajectory)
 from repro.seir.batch_engine import leap_particle_snapshot
 from repro.sim import make_ground_truth
+from repro.testing import ReferenceCalibrator
 
 
 @pytest.fixture(scope="module")
@@ -27,14 +28,19 @@ def small_truth():
 
 
 def calibrator(truth, engine="binomial_leap_batched"):
-    return SequentialCalibrator(
+    """Production calibrator, or the per-particle reference on a scalar
+    engine."""
+    cls, kwargs = SequentialCalibrator, {}
+    if engine != "binomial_leap_batched":
+        cls, kwargs = ReferenceCalibrator, {"engine": engine}
+    return cls(
         base_params=truth.params, prior=paper_first_window_prior(),
         jitter=paper_window_jitter(),
         observation_model=paper_observation_model(),
         schedule=WindowSchedule.from_breaks([10, 20, 30]),
         config=SMCConfig(n_parameter_draws=30, n_replicates=2,
-                         resample_size=40, base_seed=17, n_shards=2,
-                         engine=engine))
+                         resample_size=40, base_seed=17, n_shards=2),
+        **kwargs)
 
 
 def batch(n, start=0, days=3, offset=0.0):

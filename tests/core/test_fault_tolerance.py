@@ -44,7 +44,7 @@ def make_calibrator(truth, *, executor=None, base_seed=17,
         schedule=WindowSchedule.from_breaks(list(breaks)),
         config=SMCConfig(n_parameter_draws=30, n_replicates=2,
                          resample_size=40, base_seed=base_seed,
-                         engine="binomial_leap_batched", **config_kwargs),
+                         **config_kwargs),
         executor=executor, progress=progress)
 
 

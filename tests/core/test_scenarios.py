@@ -8,7 +8,7 @@ Oracle guarantees under test (``docs/scenarios.md``):
     **bit-identical** to scenario *k* calibrated alone — on the serial
     executor AND a process pool, under the pinned shard layout;
 (c) a scenario's batched posterior agrees **distributionally** with the
-    scalar-engine oracle run of the same scenario.
+    per-particle scalar-engine reference run of the same scenario.
 
 Plus the world-line deduplication contract: scenarios sharing streams and
 effective parameters through a window prefix share those windows' result
@@ -21,15 +21,15 @@ import pytest
 
 from repro.core.scenarios import (SCENARIO_SETS, SCENARIOS, ScenarioOverride,
                                   ScenarioRegistry, ScenarioSpec,
-                                  ScenarioSweep, get_scenario,
-                                  register_scenario, scenario_set)
+                                  get_scenario, register_scenario,
+                                  scenario_set)
 from repro.data import PiecewiseConstant
 from repro.hpc import ProcessExecutor, SerialExecutor
 from repro.hpc.sharding import (build_group_specs, simulate_group_sets,
                                 simulate_groups, structural_groups)
 from repro.seir import CheckpointError, DiseaseParameters
-from repro.testing import (assert_ensembles_identical, assert_runs_identical,
-                           parity_calibrator, parity_sweep, parity_truth)
+from repro.testing import (assert_runs_identical, parity_calibrator,
+                           parity_sweep, parity_truth)
 
 # Mid-run overrides aligned with the parity breaks (8, 16, 24, 32):
 # continuation windows start at days 16 and 24.
@@ -410,12 +410,11 @@ class TestSimulateGroupSets:
     def test_flattened_dispatch_bit_identical_to_separate(self):
         sets = [self._spec_set(100), self._spec_set(500, n=4)]
         merged = simulate_group_sets(SerialExecutor(), sets, end_day=12,
-                                     engine="binomial_leap_batched",
                                      n_shards=2)
         assert len(merged) == len(sets)
         for spec_set, got in zip(sets, merged):
             lone = simulate_groups(SerialExecutor(), spec_set, end_day=12,
-                                   engine="binomial_leap_batched", n_shards=2)
+                                   n_shards=2)
             for ga, gb in zip(lone, got):
                 for (ma, ra, rowa), (mb, rb, rowb) in zip(ga.member_items(),
                                                           gb.member_items()):
@@ -428,28 +427,7 @@ class TestSimulateGroupSets:
         sets = [self._spec_set(100)]
         with pytest.raises(ValueError, match="on_failures"):
             simulate_group_sets(SerialExecutor(), sets, end_day=8,
-                                engine="binomial_leap_batched",
                                 on_failures=[None, None])
 
     def test_empty_sets_allowed(self):
-        assert simulate_group_sets(SerialExecutor(), [], end_day=8,
-                                   engine="binomial_leap_batched") == []
-
-
-class TestScalarConfigSweep:
-    """Scalar (non-batched) configs still dedupe — via per-line
-    ``step_window`` instead of the flattened dispatch."""
-
-    def test_scalar_sweep_matches_standalone_and_dedupes(self, truth):
-        sweep = parity_sweep(truth, ["baseline", MILD16],
-                             engine="binomial_leap")
-        results = sweep.run(truth.observations(include_deaths=True))
-        assert sweep.computed_windows == 5  # shared w0, split from day 16
-        assert sweep.reused_windows == 1
-        for name in sweep.names:
-            alone = parity_calibrator(
-                truth, scenario=get_scenario(name) if name == "baseline"
-                else MILD16, engine="binomial_leap")
-            assert_runs_identical(
-                alone.run(truth.observations(include_deaths=True)),
-                results[name], f"scalar scenario {name!r}")
+        assert simulate_group_sets(SerialExecutor(), [], end_day=8) == []

@@ -21,6 +21,7 @@ from repro.hpc import (ProcessExecutor, SerialExecutor, ShardTask,
                        dispatch_shards)
 from repro.seir import DiseaseParameters
 from repro.sim import make_ground_truth
+from repro.testing import ReferenceCalibrator
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +35,11 @@ def small_truth():
 def run_calibration(truth, *, executor=None, engine="binomial_leap_batched",
                     shard_size=None, n_shards="auto", base_seed=17,
                     breaks=(10, 20, 30), **config_kwargs):
-    calib = SequentialCalibrator(
+    """Production run, or the per-particle reference on a scalar engine."""
+    cls, kwargs = SequentialCalibrator, {}
+    if engine != "binomial_leap_batched":
+        cls, kwargs = ReferenceCalibrator, {"engine": engine}
+    calib = cls(
         base_params=truth.params,
         prior=paper_first_window_prior(),
         jitter=paper_window_jitter(),
@@ -42,9 +47,9 @@ def run_calibration(truth, *, executor=None, engine="binomial_leap_batched",
         schedule=WindowSchedule.from_breaks(list(breaks)),
         config=SMCConfig(n_parameter_draws=40, n_replicates=2,
                          resample_size=60, base_seed=base_seed,
-                         engine=engine, shard_size=shard_size,
-                         n_shards=n_shards, **config_kwargs),
-        executor=executor)
+                         shard_size=shard_size, n_shards=n_shards,
+                         **config_kwargs),
+        executor=executor, **kwargs)
     return calib.run(truth.observations())
 
 
@@ -104,8 +109,7 @@ class TestConfigKnobs:
         params = DiseaseParameters(population=1000, initial_exposed=5)
         with pytest.raises(ValueError, match="start_day/state"):
             ShardTask(shard_id=0, params=params, seeds=np.array([1]),
-                      thetas=np.array([0.3]), end_day=5,
-                      engine="binomial_leap_batched")
+                      thetas=np.array([0.3]), end_day=5)
 
 
 class TestFixedLayoutReproducibility:
@@ -288,8 +292,7 @@ class TestDispatchRobustness:
         params = DiseaseParameters(population=2000, initial_exposed=10)
         return [ShardTask(shard_id=i, params=params,
                           seeds=np.array([100 + i]),
-                          thetas=np.array([0.3]), end_day=3,
-                          engine="binomial_leap_batched", start_day=0)
+                          thetas=np.array([0.3]), end_day=3, start_day=0)
                 for i in range(n_shards)]
 
     def test_dropped_shard_detected(self):

@@ -22,11 +22,9 @@ class TestCalibrationConfig:
         assert labels == ["Days 20-33", "Days 34-47", "Days 48-61",
                           "Days 62-75"]
 
-    def test_engine_options_only_for_leap(self):
-        leap = CalibrationConfig(engine="binomial_leap", steps_per_day=2)
-        assert leap.smc_config().engine_options == {"steps_per_day": 2}
-        ssa = CalibrationConfig(engine="gillespie")
-        assert ssa.smc_config().engine_options == {}
+    def test_engine_options_carry_steps_per_day(self):
+        cfg = CalibrationConfig(steps_per_day=2)
+        assert cfg.smc_config().engine_options == {"steps_per_day": 2}
 
     def test_disease_overrides_applied(self):
         cfg = CalibrationConfig(disease_overrides={"population": 1000,
@@ -64,6 +62,27 @@ class TestCalibrationConfig:
     def test_scaled_validation(self):
         with pytest.raises(ValueError):
             CalibrationConfig().scaled(0)
+
+    def test_scaled_keeps_field_types(self):
+        """Scaling by 1 is the identity, and scaled configs stay hashable
+        (window_breaks stays a tuple)."""
+        cfg = CalibrationConfig(size_policy_options={"n_min": 10})
+        assert cfg.scaled(1) == cfg
+        big = cfg.scaled(2)
+        assert isinstance(big.window_breaks, tuple)
+        assert hash(big) == hash(CalibrationConfig(
+            size_policy_options={"n_min": 10}, n_parameter_draws=1000,
+            resample_size=1000))
+
+    def test_checkpoint_keep_last_validated_up_front(self, tmp_path):
+        """keep_last=0 is refused at construction, before any window could
+        be computed and written."""
+        with pytest.raises(ValueError, match="checkpoint_keep_last"):
+            CalibrationConfig(checkpoint_dir=str(tmp_path),
+                              checkpoint_keep_last=0)
+        assert list(tmp_path.iterdir()) == []
+        assert CalibrationConfig(checkpoint_keep_last=1) \
+            .checkpoint_keep_last == 1
 
     def test_executor_construction(self):
         ex = CalibrationConfig(executor="serial").make_executor()

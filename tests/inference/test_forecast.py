@@ -6,9 +6,24 @@ from repro.core import (SMCConfig, SequentialCalibrator, WindowSchedule,
                         paper_first_window_prior, paper_observation_model,
                         paper_window_jitter)
 from repro.data import PiecewiseConstant
+from repro.hpc import SerialExecutor
 from repro.inference import forecast_from_posterior
 from repro.seir import DiseaseParameters
 from repro.sim import make_ground_truth
+from repro.testing import reference_forecast
+
+
+class SpyExecutor(SerialExecutor):
+    """Serial executor recording each map's task function and count."""
+
+    def __init__(self):
+        super().__init__()
+        self.maps = []
+
+    def map(self, fn, tasks):
+        tasks = list(tasks)
+        self.maps.append((fn.__name__, len(tasks)))
+        return super().map(fn, tasks)
 
 
 @pytest.fixture(scope="module")
@@ -77,10 +92,6 @@ class TestForecast:
         with pytest.raises(ValueError, match="checkpoint"):
             forecast_from_posterior(bare, 5)
 
-    def test_path_validation(self, posterior):
-        with pytest.raises(ValueError, match="path"):
-            forecast_from_posterior(posterior, 5, path="warp")
-
 
 class TestShardedBatchedForecast:
     """The batched forecast path: sharded whole-cloud restarts."""
@@ -88,38 +99,27 @@ class TestShardedBatchedForecast:
     def test_no_per_particle_dispatch(self, posterior):
         """Acceptance: no longer one scalar task per particle — the serial
         auto policy submits a single whole-cloud shard."""
-        from repro.hpc import SerialExecutor
-
-        class SpyExecutor(SerialExecutor):
-            task_counts = []
-
-            def map(self, fn, tasks):
-                tasks = list(tasks)
-                SpyExecutor.task_counts.append(len(tasks))
-                return super().map(fn, tasks)
-
-        fc = forecast_from_posterior(posterior, horizon_days=6,
-                                     executor=SpyExecutor())
+        spy = SpyExecutor()
+        fc = forecast_from_posterior(posterior, horizon_days=6, executor=spy)
         assert len(fc) == len(posterior) == 20
-        assert SpyExecutor.task_counts == [1]
+        assert [count for _fn, count in spy.maps] == [1]
 
     def test_batched_is_the_auto_path(self, posterior):
-        """Calibrator checkpoints are leap-format, so auto == batched."""
-        import numpy as np
-        auto = forecast_from_posterior(posterior, 6, base_seed=3)
-        batched = forecast_from_posterior(posterior, 6, base_seed=3,
-                                          path="batched")
-        for a, b in zip(auto.trajectories, batched.trajectories):
-            assert np.array_equal(a.infections, b.infections)
+        """Calibrator checkpoints are leap-format, so they forecast on the
+        sharded batched path."""
+        spy = SpyExecutor()
+        forecast_from_posterior(posterior, 6, base_seed=3, executor=spy)
+        assert [fn for fn, _count in spy.maps] == ["run_shard"]
 
     def test_scalar_batched_distributional_parity(self, posterior):
-        """Acceptance: batched forecast overlaps the scalar oracle's
-        credible intervals (paths share seeds but not draw order)."""
+        """Acceptance: batched forecast overlaps the per-particle
+        reference's credible intervals (paths share seeds but not draw
+        order)."""
         import numpy as np
-        scalar = forecast_from_posterior(posterior, 10, base_seed=3,
-                                         path="scalar", n_per_particle=3)
+        scalar = reference_forecast(posterior, 10, base_seed=3,
+                                    n_per_particle=3)
         batched = forecast_from_posterior(posterior, 10, base_seed=3,
-                                          path="batched", n_per_particle=3)
+                                          n_per_particle=3)
         for channel in ("cases", "deaths"):
             rib_s = scalar.ribbon(channel, quantiles=(0.05, 0.5, 0.95))
             rib_b = batched.ribbon(channel, quantiles=(0.05, 0.5, 0.95))
@@ -164,8 +164,8 @@ class TestShardedBatchedForecast:
             forecast_from_posterior(posterior, 5, shard_size=0)
 
     def test_explicit_batched_rejects_schedule_checkpoints(self):
-        """A transmission schedule cannot ride the batched restart; the
-        explicit path refuses instead of silently dropping it."""
+        """A transmission schedule cannot ride the batched restart, so
+        such checkpoints restart per particle, which carries it."""
         from repro.core import Particle, ParticleEnsemble
         from repro.data import PiecewiseConstant
         from repro.seir import DiseaseParameters, StochasticSEIRModel
@@ -181,15 +181,14 @@ class TestShardedBatchedForecast:
                                       seed=seed,
                                       checkpoint=model.checkpoint()))
         posterior = ParticleEnsemble(particles)
-        with pytest.raises(ValueError, match="transmission schedule"):
-            forecast_from_posterior(posterior, 4, path="batched")
-        # auto falls back to the scalar path, which honours the schedule.
-        fc = forecast_from_posterior(posterior, 4)
+        spy = SpyExecutor()
+        fc = forecast_from_posterior(posterior, 4, executor=spy)
         assert len(fc) == 2
+        assert spy.maps == [("_run_continuation_task", 2)]
 
     def test_auto_falls_back_to_scalar_for_mixed_day_checkpoints(self):
-        """Checkpoints at different days can't share a batch clock; auto
-        must keep forecasting them via the scalar path."""
+        """Checkpoints at different days can't share a batch clock, so
+        they forecast per particle."""
         from repro.core import Particle, ParticleEnsemble
         from repro.seir import DiseaseParameters, StochasticSEIRModel
 
@@ -202,10 +201,10 @@ class TestShardedBatchedForecast:
                                       seed=seed,
                                       checkpoint=model.checkpoint()))
         posterior = ParticleEnsemble(particles)
-        fc = forecast_from_posterior(posterior, horizon_days=4)
+        spy = SpyExecutor()
+        fc = forecast_from_posterior(posterior, horizon_days=4, executor=spy)
         assert len(fc) == 2
-        with pytest.raises(ValueError, match="sharing one day"):
-            forecast_from_posterior(posterior, 4, path="batched")
+        assert spy.maps == [("_run_continuation_task", 2)]
 
     def test_auto_falls_back_to_scalar_for_non_leap_checkpoints(self):
         """Non-leap checkpoints (e.g. event-driven) still forecast."""
