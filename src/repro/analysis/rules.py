@@ -26,7 +26,7 @@ __all__ = ["FileContext", "Violation", "RULES", "check_file",
 RULES: dict[str, str] = {
     "REPRO101": "RNG construction (numpy.random.*, stdlib random) outside "
                 "seir/seeding.py",
-    "REPRO102": "stream tag fed to mix_seed/ancillary_generator is not a "
+    "REPRO102": "stream tag fed to mix_seed(s)/ancillary_generator is not a "
                 "registered named constant",
     "REPRO103": "stream-tag constant assigned without registering it in "
                 "STREAM_DOMAINS",
@@ -313,7 +313,7 @@ class _FileChecker(ast.NodeVisitor):
                        "generators and seed sequences are constructed only "
                        "by the seed bank (repro.seir.seeding)")
 
-        if terminal == "mix_seed":
+        if terminal in ("mix_seed", "mix_seeds"):
             self._check_mix_seed(node)
         elif terminal == "ancillary_generator":
             self._check_ancillary(node)
@@ -347,22 +347,23 @@ class _FileChecker(ast.NodeVisitor):
         return name is not None and name in self.registered
 
     def _check_mix_seed(self, node: ast.Call) -> None:
+        fn = _terminal_name(node.func)
         if len(node.args) < 2:
             self._flag(node, "REPRO102",
-                       "mix_seed call carries no stream tag — pass a "
+                       f"{fn} call carries no stream tag — pass a "
                        "registered *_STREAM constant right after the base "
                        "seed (the reserved method-tag position)")
             return
         tag = node.args[1]
         if isinstance(tag, ast.Constant):
             self._flag(node, "REPRO102",
-                       "integer-literal stream tag in mix_seed — the PR 5 "
-                       "aliasing bug shape; register a named constant via "
-                       "register_stream_tag() and pass that")
+                       f"integer-literal stream tag in {fn} — the "
+                       "window-stream aliasing bug shape; register a named "
+                       "constant via register_stream_tag() and pass that")
         elif not self._stream_arg_ok(tag):
             name = _terminal_name(tag) or ast.dump(tag)
             self._flag(node, "REPRO102",
-                       f"stream tag {name!r} in mix_seed is not a "
+                       f"stream tag {name!r} in {fn} is not a "
                        "registered stream constant (register_stream_tag)")
 
     def _check_ancillary(self, node: ast.Call) -> None:

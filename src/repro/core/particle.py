@@ -22,7 +22,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from ..seir.batch_engine import BatchTrajectory
-from ..seir.checkpoint import Checkpoint
+from ..seir.checkpoint import Checkpoint, distinct_checkpoints
 from ..seir.outputs import Trajectory
 from .weights import (effective_sample_size, normalize_log_weights,
                       weighted_mean, weighted_quantile)
@@ -87,11 +87,7 @@ def _stack_trajectories(trajectories: Sequence[Trajectory | None],
             t.start_day != first.start_day or len(t) != len(first)
             for t in present):
         raise ValueError(f"particles disagree on {which} trajectory days")
-    return BatchTrajectory(first.start_day,
-                           np.stack([t.infections for t in present]),
-                           np.stack([t.deaths for t in present]),
-                           np.stack([t.hospital_census for t in present]),
-                           np.stack([t.icu_census for t in present]))
+    return BatchTrajectory.from_trajectories(present)
 
 
 class ParticleEnsemble:
@@ -263,6 +259,19 @@ class ParticleEnsemble:
         if self._checkpoints is None:
             return [None] * len(self)
         return [self._checkpoints[i] for i in range(len(self))]
+
+    def distinct_checkpoints(self) -> tuple[list[Checkpoint], np.ndarray]:
+        """The distinct checkpoint objects and each row's index into them
+        (see :func:`~repro.seir.checkpoint.distinct_checkpoints`)."""
+        return distinct_checkpoints(self.checkpoints())
+
+    def ancestors(self) -> np.ndarray:
+        return self._ancestors.copy()
+
+    def param_records(self) -> list[dict[str, float]]:
+        """Every row's parameters as a name-keyed dict (``Particle.params``
+        without building the particles)."""
+        return [dict(zip(self._names, row)) for row in self._params.tolist()]
 
     def normalized_weights(self) -> np.ndarray:
         """Normalised weights (uniform if all log-weights are equal)."""

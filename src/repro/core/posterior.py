@@ -18,7 +18,8 @@ import numpy as np
 from ..seir.outputs import Trajectory
 from .weights import weighted_quantile
 
-__all__ = ["TrajectoryRibbon", "trajectory_ribbon", "marginal_histogram",
+__all__ = ["TrajectoryRibbon", "trajectory_ribbon", "matrix_ribbon",
+           "marginal_histogram",
            "joint_density_grid", "hpd_region_mass"]
 
 
@@ -81,9 +82,6 @@ def trajectory_ribbon(trajectories: Sequence[Trajectory], channel: str,
     """
     if not trajectories:
         raise ValueError("need at least one trajectory")
-    qs = tuple(float(q) for q in quantiles)
-    if any(not 0 <= q <= 1 for q in qs) or list(qs) != sorted(qs):
-        raise ValueError("quantiles must be ascending values in [0, 1]")
     start = trajectories[0].start_day
     n_days = len(trajectories[0])
     stack = np.empty((len(trajectories), n_days))
@@ -91,17 +89,31 @@ def trajectory_ribbon(trajectories: Sequence[Trajectory], channel: str,
         if traj.start_day != start or len(traj) != n_days:
             raise ValueError("trajectories must share one day range")
         stack[i] = traj.series(channel).values
+    return matrix_ribbon(start, stack, quantiles, weights)
 
+
+def matrix_ribbon(start_day: int, values: np.ndarray,
+                  quantiles: Sequence[float] = (0.05, 0.25, 0.5, 0.75, 0.95),
+                  weights: np.ndarray | None = None) -> TrajectoryRibbon:
+    """:func:`trajectory_ribbon` over an ``(n_trajectories, n_days)`` channel
+    matrix whose first column is ``start_day``."""
+    stack = np.asarray(values, dtype=np.float64)
+    if stack.ndim != 2 or stack.shape[0] == 0:
+        raise ValueError("need a 2-d matrix of at least one trajectory")
+    qs = tuple(float(q) for q in quantiles)
+    if any(not 0 <= q <= 1 for q in qs) or list(qs) != sorted(qs):
+        raise ValueError("quantiles must be ascending values in [0, 1]")
     if weights is None:
         bands = np.quantile(stack, qs, axis=0)
     else:
         w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (len(trajectories),):
+        if w.shape != (stack.shape[0],):
             raise ValueError("weights must have one entry per trajectory")
-        bands = np.empty((len(qs), n_days))
-        for d in range(n_days):
+        bands = np.empty((len(qs), stack.shape[1]))
+        for d in range(stack.shape[1]):
             bands[:, d] = weighted_quantile(stack[:, d], w, np.asarray(qs))
-    return TrajectoryRibbon(start_day=start, quantiles=qs, bands=bands)
+    return TrajectoryRibbon(start_day=int(start_day), quantiles=qs,
+                            bands=bands)
 
 
 def marginal_histogram(values: np.ndarray, weights: np.ndarray | None = None,

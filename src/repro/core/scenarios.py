@@ -545,7 +545,7 @@ class ScenarioSweep:
         # dispatch.
         layout = self.calibrators[reps[0]]._shard_layout_kwargs()
         shard_sets = simulate_group_sets(
-            self.executor, [p.specs for p in pendings],
+            self.executor, [p.group_specs() for p in pendings],
             end_day=window.end_day,
             engine_options=self.config.engine_options,
             retry=self.config.retry,

@@ -341,38 +341,37 @@ class PendingWindow:
     (:meth:`SequentialCalibrator.propose_window` /
     :meth:`~SequentialCalibrator.assemble_window` /
     :meth:`~SequentialCalibrator.weigh_window`): it carries everything the
-    proposal phase decided — the members' parameter draws and seeds, the
-    structural grouping, and the ready-to-dispatch
-    :class:`~repro.hpc.sharding.GroupSpec` list — so a multi-scenario
-    driver can pool many windows' specs into **one** flattened shard
-    dispatch (:func:`~repro.hpc.sharding.simulate_group_sets`) and
-    reassemble each window independently.  All per-window randomness is
-    consumed while *building* a pending window (prior/jitter draws, seed
-    derivations); simulation randomness is keyed by the seed vectors inside
-    the specs, so dispatching pending windows together or apart is
-    bit-identical.
+    proposal phase decided — the members' parameter draws and seeds and
+    the structural grouping — so a multi-scenario driver can pool many
+    windows' :meth:`group_specs` into **one** flattened shard dispatch
+    (:func:`~repro.hpc.sharding.simulate_group_sets`) and reassemble each
+    window independently.  All per-window randomness is consumed while
+    *building* a pending window (prior/jitter draws, seed derivations);
+    simulation randomness is keyed by the seed vectors inside the specs,
+    so dispatching pending windows together or apart is bit-identical.
 
     ``draws`` is the ``(n_members, n_params)`` matrix of calibrated
-    parameters (columns ``param_names``) and ``seeds`` the members' seed
-    vector.  A member's effective
+    parameters (columns ``param_names``), ``seeds`` the members' seed
+    vector and ``thetas`` their transmission rates.  A member's effective
     :class:`~repro.seir.parameters.DiseaseParameters` are ``base`` with the
     draw's mapped fields applied (``field_columns`` maps each field to its
     ``draws`` column); :meth:`member_params` builds them on demand.
-    ``parents`` is ``None`` for window 0 (fresh starts from burn-in) and the
-    previous posterior for continuations, ``parent_rows`` then giving each
-    member's parent row.
+    ``parents`` is ``None`` for window 0 (fresh starts from ``start_day``)
+    and the previous posterior for continuations, ``parent_rows`` then
+    giving each member's parent row.
     """
 
     index: int
     window: TimeWindow
     sim_days: int
     groups: list[np.ndarray]
-    specs: list[GroupSpec]
     param_names: tuple[str, ...]
     draws: np.ndarray
     seeds: np.ndarray
+    thetas: np.ndarray
     base: DiseaseParameters
     field_columns: dict[str, int]
+    start_day: int | None = None
     parents: ParticleEnsemble | None = None
     parent_rows: np.ndarray | None = None
 
@@ -385,6 +384,32 @@ class PendingWindow:
         return self.base.with_updates(**{
             fld: float(self.draws[i, col])
             for fld, col in self.field_columns.items()})
+
+    def group_specs(self) -> list[GroupSpec]:
+        """One ready-to-dispatch :class:`~repro.hpc.sharding.GroupSpec`
+        per structural group.
+
+        Restarts stack the parents' distinct checkpoints once (resampled
+        duplicates share one checkpoint, hence one stacked row) and give
+        each group its members' rows.  Only the batched leap engine
+        restarts from stacked state, so this is called by the production
+        simulate seam, never while proposing.
+        """
+        state: StackedLeapState | None = None
+        if self.parents is not None:
+            if self.parent_rows is None:
+                raise ValueError(
+                    f"window {self.index}: a continuation needs each "
+                    "member's parent row")
+            distinct, rows = self.parents.distinct_checkpoints()
+            state = stack_leap_snapshots(
+                [cp.snapshot for cp in distinct]).rows(rows[self.parent_rows])
+        return [GroupSpec(params=self.member_params(int(members[0])),
+                          seeds=self.seeds[members],
+                          thetas=self.thetas[members],
+                          start_day=self.start_day,
+                          state=None if state is None else state.rows(members))
+                for members in self.groups]
 
 
 class _ShardCheckpoints(Sequence[Checkpoint]):
@@ -613,8 +638,8 @@ class SequentialCalibrator:
 
         With a ``store`` every completed window's resampled posterior
         (checkpoints, parameters, seeds, ancestry, diagnostics) is durably
-        persisted, each window sealed by a completion marker only after
-        its full population is on disk.  ``resume=True`` restarts from the
+        persisted as one atomically published file, which seals the
+        window.  ``resume=True`` restarts from the
         last *complete* stored window: because all per-window randomness
         is keyed by window index (window-indexed ancillary streams,
         ``(window, draw_index)`` restart seeds) and the store pins the
@@ -797,31 +822,24 @@ class SequentialCalibrator:
                         result: WindowResult) -> None:
         """Durably persist one completed window's resampled posterior.
 
-        Checkpoints land as individual particle files; parameters, seeds,
-        ancestry, and diagnostics ride in the window's ``state.json``; the
-        completion marker is written strictly last (see
+        The posterior's distinct checkpoints, each particle's index into
+        them, and the window's parameters, seeds, ancestry and diagnostics
+        are sealed in one atomically published file (see
         :meth:`~repro.hpc.checkpoint_io.CheckpointStore.save_window_state`),
-        so a crash mid-persist leaves a torn — and therefore skipped —
+        so a crash mid-persist leaves an unsealed — and therefore skipped —
         window, never a corrupt restart point.
         """
         posterior = result.posterior
-        checkpoints = []
-        for particle in posterior:
-            if particle.checkpoint is None:
-                raise ValueError(
-                    "cannot persist a posterior whose particles carry no "
-                    "checkpoints")
-            checkpoints.append(particle.checkpoint)
         meta = {
             "format_version": 1,
             "window_index": result.index,
             "window_label": result.window.label(),
-            "params": [particle.params for particle in posterior],
-            "seeds": [int(particle.seed) for particle in posterior],
-            "ancestors": [int(particle.ancestor) for particle in posterior],
+            "params": posterior.param_records(),
+            "seeds": posterior.seeds().tolist(),
+            "ancestors": posterior.ancestors().tolist(),
             "diagnostics": result.diagnostics.to_dict(),
         }
-        store.save_window_state(result.index, checkpoints, meta)
+        store.save_window_state(result.index, posterior.checkpoints(), meta)
 
     def _restore_results(self, store: CheckpointStore,
                          windows: list[TimeWindow]) -> list[WindowResult]:
@@ -851,7 +869,11 @@ class SequentialCalibrator:
         for the window the run restarts from); posterior samples,
         ancestry, and diagnostics always restore.
         """
-        meta = store.load_window_meta(index)
+        checkpoints: list[Checkpoint] | None = None
+        if with_checkpoints:
+            checkpoints, meta = store.load_window_state(index)
+        else:
+            meta = store.load_window_meta(index)
         if int(meta.get("window_index", -1)) != index:
             raise CheckpointError(
                 f"window {index} metadata names window "
@@ -867,13 +889,10 @@ class SequentialCalibrator:
         if not len(params) == len(seeds) == len(ancestors):
             raise CheckpointError(
                 f"window {index} metadata arrays disagree on length")
-        checkpoints: list[Checkpoint] | None = None
-        if with_checkpoints:
-            checkpoints, _ = store.load_window_state(index)
-            if len(checkpoints) != len(params):
-                raise CheckpointError(
-                    f"window {index} stores {len(checkpoints)} "
-                    f"checkpoints but {len(params)} posterior samples")
+        if checkpoints is not None and len(checkpoints) != len(params):
+            raise CheckpointError(
+                f"window {index} stores {len(checkpoints)} "
+                f"checkpoints but {len(params)} posterior samples")
         particles = []
         for i in range(len(params)):
             particles.append(Particle(
@@ -999,17 +1018,15 @@ class SequentialCalibrator:
                      draws: np.ndarray, seeds: np.ndarray, *,
                      start_day: int | None = None,
                      parents: ParticleEnsemble | None = None,
-                     parent_rows: np.ndarray | None = None,
-                     parent_state: StackedLeapState | None = None
+                     parent_rows: np.ndarray | None = None
                      ) -> PendingWindow:
-        """Group the members and build one spec per structural group.
+        """Group the members into structural groups.
 
         Only ``param_map`` fields vary between members and only the
         non-transmission ones are structural, so members group by those
         columns' values, in order of first appearance — the grouping
         :func:`~repro.hpc.sharding.structural_groups` computes from
-        per-member parameters, without building them.  Restarts pass the
-        parents' stacked state, one row per member.
+        per-member parameters, without building them.
         """
         base = self._window_base_params(window)
         names = tuple(self.prior.names)
@@ -1030,19 +1047,11 @@ class SequentialCalibrator:
         thetas = (draws[:, field_columns["transmission_rate"]]
                   if "transmission_rate" in field_columns
                   else np.full(len(seeds), float(base.transmission_rate)))
-        pending = PendingWindow(
+        return PendingWindow(
             index=index, window=window, sim_days=sim_days, groups=groups,
-            specs=[], param_names=names, draws=draws, seeds=seeds, base=base,
-            field_columns=field_columns, parents=parents,
-            parent_rows=parent_rows)
-        for members in groups:
-            pending.specs.append(GroupSpec(
-                params=pending.member_params(int(members[0])),
-                seeds=seeds[members], thetas=thetas[members],
-                start_day=start_day,
-                state=(None if parent_state is None
-                       else parent_state.rows(members))))
-        return pending
+            param_names=names, draws=draws, seeds=seeds, thetas=thetas,
+            base=base, field_columns=field_columns, start_day=start_day,
+            parents=parents, parent_rows=parent_rows)
 
     def _propose_first_window(self, window: TimeWindow) -> PendingWindow:
         cfg = self.config
@@ -1062,29 +1071,6 @@ class SequentialCalibrator:
                        f"group(s), {self.executor.workers} worker(s))")
         return pending
 
-    @staticmethod
-    def _stack_parent_checkpoints(index: int, posterior: ParticleEnsemble
-                                  ) -> tuple[StackedLeapState, np.ndarray]:
-        """Stack the posterior's distinct checkpoints once.
-
-        Returns the stacked state and, per posterior row, its row in the
-        stack (resampled duplicates share one checkpoint object, hence one
-        row).
-        """
-        position: dict[int, int] = {}
-        snapshots: list[dict] = []
-        rows = np.empty(len(posterior), dtype=np.int64)
-        for j, checkpoint in enumerate(posterior.checkpoints()):
-            if checkpoint is None:
-                raise ValueError(
-                    f"window {index} restarts the previous posterior's "
-                    f"checkpoints, but its particle {j} carries none")
-            k = position.setdefault(id(checkpoint), len(snapshots))
-            if k == len(snapshots):
-                snapshots.append(checkpoint.snapshot)
-            rows[j] = k
-        return stack_leap_snapshots(snapshots), rows
-
     def _propose_continuation(self, index: int, window: TimeWindow,
                               posterior: ParticleEnsemble, *,
                               n_proposals: int | None = None) -> PendingWindow:
@@ -1093,20 +1079,21 @@ class SequentialCalibrator:
             else cfg.continuation_ensemble_size
         if n < 1:
             raise ValueError("n_proposals must be >= 1")
-        parent_state, state_rows = self._stack_parent_checkpoints(index,
-                                                                  posterior)
+        for j, checkpoint in enumerate(posterior.checkpoints()):
+            if checkpoint is None:
+                raise ValueError(
+                    f"window {index} restarts the previous posterior's "
+                    f"checkpoints, but its particle {j} carries none")
         rng_jitter = self._bank.ancillary_generator(_PURPOSE_JITTER,
                                                     window_index=index)
         parent_rows = np.arange(n) % len(posterior)
         centers = {name: posterior.values(name)[parent_rows]
                    for name in self.prior.names}
         draws = self._draw_matrix(self.jitter.propose(centers, rng_jitter))
-        seeds = np.array([self._bank.window_draw_seed(index, i)
-                          for i in range(n)], dtype=np.int64)
         pending = self._plan_window(
-            index, window, window.n_days, draws, seeds, parents=posterior,
-            parent_rows=parent_rows,
-            parent_state=parent_state.rows(state_rows[parent_rows]))
+            index, window, window.n_days, draws,
+            self._bank.window_draw_seeds(index, n), parents=posterior,
+            parent_rows=parent_rows)
         self._progress(
             f"window {index}: batch-restarting {n} "
             f"checkpoints ({window.label()})")
@@ -1122,7 +1109,7 @@ class SequentialCalibrator:
 
     def _simulate_pending(self, pending: PendingWindow) -> list[GroupShards]:
         cfg = self.config
-        return simulate_groups(self.executor, pending.specs,
+        return simulate_groups(self.executor, pending.group_specs(),
                                end_day=pending.window.end_day,
                                engine_options=cfg.engine_options,
                                retry=cfg.retry,
@@ -1134,7 +1121,7 @@ class SequentialCalibrator:
         """Reassemble a dispatched :class:`PendingWindow` into an ensemble.
 
         ``shards`` is the per-group result list for exactly
-        ``pending.specs`` (e.g. one element of a
+        ``pending.group_specs()`` (e.g. one element of a
         :func:`~repro.hpc.sharding.simulate_group_sets` return).  The shard
         outputs are stacked into member order once.  Window 0's histories
         are the whole simulated range and its segments the window's days;

@@ -1,25 +1,34 @@
-"""Parallel checkpoint storage: per-rank files plus a run manifest.
+"""Checkpoint storage: one sealed file per window plus a run manifest.
 
 The paper checkpoints every posterior trajectory between calibration windows.
-At HPC scale that is thousands of snapshot files per window, written
-concurrently.  :class:`CheckpointStore` provides the directory layout,
-atomic per-particle writes (safe under concurrent writers on a shared file
-system), a JSON manifest for restart discovery, and bulk load of a window's
-particle population.
+At HPC scale that is thousands of snapshots per window.  Resampling
+duplicates them: every copy of one ancestor restarts from the same state.
+:class:`CheckpointStore` therefore writes a window as **one** JSON file
+holding each distinct checkpoint payload once and a per-particle row index
+into those payloads, next to the window's metadata.  A window costs one
+fsync whatever the posterior size.
 
 Durability contract
 -------------------
-Every file is published with write-to-temp + ``fsync`` + ``os.replace``,
-so a reader never sees a torn file.  Window *completeness* is a separate
-concern from file atomicity: a crash mid-window leaves some particles
-written and others missing, all individually valid.  The store therefore
-writes a ``COMPLETE.json`` marker — recording the expected particle count —
-strictly *after* a window's full population (and optional ``state.json``
-metadata) has landed.  :meth:`latest_restart_point` and
-:meth:`load_window_state` only trust marked windows whose expected count is
-actually on disk, so an interrupted run can never resume from a torn
-window.  ``run_meta.json`` pins the run's config/seed fingerprint so a
-store can refuse to mix checkpoints from differently-configured runs.
+Every file is published with write-to-temp + ``fsync`` + ``os.replace``
+(:func:`write_json_atomic`), so a reader never sees a torn file.  Publishing
+``window.json`` *is* the window's seal: the checkpoints, the row index and
+the metadata land in the same rename, so a window is either sealed whole
+or absent.  The crash points are:
+
+* before the rename — the window directory holds at most a ``*.tmp``
+  file; the window is unsealed, restart discovery skips it and
+  :meth:`~CheckpointStore.prune` never touches it;
+* after the rename, before the manifest update — the window is sealed and
+  restart discovery finds it; ``manifest.json`` (informational) lags one
+  window until the next seal or :meth:`~CheckpointStore.write_manifest`.
+
+A window file that does not parse or whose row index points outside its
+payload list (a damaged copy, say) counts as unsealed.
+``run_meta.json`` pins the run's config/seed fingerprint so a store can
+refuse to mix checkpoints from differently-configured runs.  Stores in the
+earlier per-particle layout (``particle_*.ckpt.json`` files sealed by
+``COMPLETE.json``) are refused with a :class:`CheckpointError`.
 
 Layout::
 
@@ -27,11 +36,8 @@ Layout::
       manifest.json
       run_meta.json
       window_000/
-        particle_000000.ckpt.json
-        particle_000001.ckpt.json
-        ...
-        state.json         # optional window metadata (posterior, diagnostics)
-        COMPLETE.json      # {"n_particles": N}, written last
+        window.json   # {"format", "meta", "checkpoints": [distinct
+                      #  payloads], "rows": [payload index per particle]}
       window_001/
         ...
 """
@@ -44,16 +50,18 @@ import shutil
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
-from ..seir.checkpoint import Checkpoint, CheckpointError
+from ..seir.checkpoint import Checkpoint, CheckpointError, distinct_checkpoints
 
 __all__ = ["CheckpointStore", "StoreManifest", "write_json_atomic"]
 
 _MANIFEST_NAME = "manifest.json"
 _RUN_META_NAME = "run_meta.json"
-_COMPLETE_NAME = "COMPLETE.json"
-_STATE_NAME = "state.json"
+_WINDOW_NAME = "window.json"
+_WINDOW_FORMAT = "repro.checkpoint-window/1"
+#: The seal marker of the earlier per-particle layout.
+_LEGACY_MARKER = "COMPLETE.json"
 
 
 def write_json_atomic(path: str | os.PathLike, payload: dict, *,
@@ -74,7 +82,7 @@ def write_json_atomic(path: str | os.PathLike, payload: dict, *,
     fd, tmp = tempfile.mkstemp(dir=dest.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, sort_keys=sort_keys)
+            fh.write(json.dumps(payload, sort_keys=sort_keys))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, dest)
@@ -92,7 +100,7 @@ class StoreManifest:
     windows: dict[int, int]
     """Mapping window index -> number of particles stored."""
     complete: dict[int, bool] = field(default_factory=dict)
-    """Mapping window index -> whether its completion marker validates."""
+    """Mapping window index -> whether the window is sealed."""
 
     def latest_window(self) -> int | None:
         return max(self.windows) if self.windows else None
@@ -116,7 +124,7 @@ class StoreManifest:
 
 
 class CheckpointStore:
-    """File-backed store of per-particle checkpoints, grouped by window."""
+    """File-backed store of checkpoint windows, one sealed file each."""
 
     def __init__(self, root: str | os.PathLike, run_id: str = "run") -> None:
         self._root = Path(root)
@@ -137,15 +145,6 @@ class CheckpointStore:
             raise ValueError("window_index must be >= 0")
         return self._root / f"window_{window_index:03d}"
 
-    def _particle_path(self, window_index: int, particle_index: int) -> Path:
-        if particle_index < 0:
-            raise ValueError("particle_index must be >= 0")
-        return self._window_dir(window_index) / f"particle_{particle_index:06d}.ckpt.json"
-
-    def _write_json_atomic(self, path: Path, payload: dict) -> None:
-        """Durably publish a JSON file (temp + fsync + atomic rename)."""
-        write_json_atomic(path, payload)
-
     @staticmethod
     def _read_json(path: Path) -> dict | None:
         """Parse a JSON file; ``None`` when missing or unreadable.
@@ -160,118 +159,106 @@ class CheckpointStore:
         try:
             with open(path) as fh:
                 payload = json.load(fh)
-        except (json.JSONDecodeError, OSError):
+        except (json.JSONDecodeError, OSError, UnicodeDecodeError):
             return None
         return payload if isinstance(payload, dict) else None
 
-    def save(self, window_index: int, particle_index: int,
-             checkpoint: Checkpoint) -> Path:
-        """Atomically persist one particle checkpoint."""
-        path = self._particle_path(window_index, particle_index)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        checkpoint.save(path)
-        return path
+    def _sealed(self, window_index: int) -> dict | None:
+        """The window's parsed file when it is sealed, else ``None``.
 
-    def save_window(self, window_index: int, checkpoints: list[Checkpoint]) -> None:
-        """Persist a window's population, mark it complete, refresh manifest."""
+        Sealed means ``window.json`` parses, lists at least one checkpoint
+        payload, and maps every particle row to one of them.
+        """
+        directory = self._window_dir(window_index)
+        path = directory / _WINDOW_NAME
+        if not path.exists():
+            if (directory / _LEGACY_MARKER).exists():
+                raise CheckpointError(
+                    f"{directory} is in the per-particle checkpoint layout "
+                    f"({_LEGACY_MARKER} + particle_*.ckpt.json), which this "
+                    "version no longer reads; recalibrate into a fresh "
+                    "checkpoint directory")
+            return None
+        payload = self._read_json(path)
+        if payload is None or payload.get("format") != _WINDOW_FORMAT:
+            return None
+        payloads, rows = payload.get("checkpoints"), payload.get("rows")
+        meta = payload.get("meta")
+        if not isinstance(payloads, list) or not isinstance(rows, list) \
+                or not payloads or not rows \
+                or not (meta is None or isinstance(meta, dict)):
+            return None
+        n = len(payloads)
+        if not all(type(r) is int and 0 <= r < n for r in rows):
+            return None
+        return payload
+
+    def save_window(self, window_index: int,
+                    checkpoints: Sequence[Checkpoint]) -> None:
+        """Seal a window's checkpoints (no metadata); refresh the manifest."""
         self.save_window_state(window_index, checkpoints, meta=None)
 
     def save_window_state(self, window_index: int,
-                          checkpoints: list[Checkpoint],
+                          checkpoints: Sequence[Checkpoint],
                           meta: dict | None = None) -> None:
-        """Persist a window's full population plus optional metadata.
+        """Seal a window: its per-particle checkpoints plus optional
+        metadata, in one atomically published file.
 
-        Crash-safe write order: particles, then ``state.json``, then the
-        ``COMPLETE.json`` marker, then the manifest.  A crash at any point
-        before the marker leaves the window unmarked, so restart discovery
-        treats it as torn and falls back to the previous complete window.
+        ``checkpoints`` has one entry per particle; entries that are the
+        same object (resampled duplicates) are stored once.  The manifest
+        is updated after the seal, for this window only.
         """
         if not checkpoints:
             raise ValueError("cannot persist an empty window")
-        for i, cp in enumerate(checkpoints):
-            self.save(window_index, i, cp)
-        if meta is not None:
-            self._write_json_atomic(self._window_dir(window_index) / _STATE_NAME,
-                                    meta)
-        self.mark_complete(window_index, len(checkpoints))
-        self.write_manifest()
-
-    def mark_complete(self, window_index: int, n_particles: int) -> None:
-        """Publish the completion marker recording the expected count."""
-        if n_particles < 1:
-            raise ValueError("n_particles must be >= 1")
-        self._write_json_atomic(self._window_dir(window_index) / _COMPLETE_NAME,
-                                {"n_particles": int(n_particles)})
-
-    def expected_count(self, window_index: int) -> int | None:
-        """Particle count promised by the completion marker (None = unmarked)."""
-        payload = self._read_json(self._window_dir(window_index) / _COMPLETE_NAME)
-        if payload is None or "n_particles" not in payload:
-            return None
-        try:
-            return int(payload["n_particles"])
-        except (TypeError, ValueError):
-            return None
+        distinct, rows = distinct_checkpoints(checkpoints)
+        write_json_atomic(self._window_dir(window_index) / _WINDOW_NAME, {
+            "format": _WINDOW_FORMAT,
+            "meta": meta,
+            "checkpoints": [cp.to_dict() for cp in distinct],
+            "rows": rows.tolist(),
+        })
+        self._update_manifest(sealed={window_index: len(rows)})
 
     def window_complete(self, window_index: int) -> bool:
-        """Whether the window is marked complete *and* all files exist.
-
-        The marker alone is necessary but not sufficient: expected-count
-        validation catches a marked window that later lost particle files
-        (partial deletion, failed copy between file systems).
-        """
-        expected = self.expected_count(window_index)
-        if expected is None:
-            return False
-        return all(self._particle_path(window_index, i).exists()
-                   for i in range(expected))
-
-    def load(self, window_index: int, particle_index: int) -> Checkpoint:
-        path = self._particle_path(window_index, particle_index)
-        if not path.exists():
-            raise CheckpointError(f"missing checkpoint {path}")
-        return Checkpoint.load(path)
-
-    def load_window(self, window_index: int) -> list[Checkpoint]:
-        """Load all checkpoints of a window, ordered by particle index."""
-        directory = self._window_dir(window_index)
-        if not directory.is_dir():
-            raise CheckpointError(f"no checkpoints stored for window {window_index}")
-        paths = sorted(directory.glob("particle_*.ckpt.json"))
-        return [Checkpoint.load(p) for p in paths]
+        """Whether the window is sealed: its ``window.json`` parses and maps
+        every particle row to one of its checkpoint payloads."""
+        return self._sealed(window_index) is not None
 
     def load_window_meta(self, window_index: int) -> dict[str, Any]:
-        """The window's ``state.json`` metadata payload."""
-        payload = self._read_json(self._window_dir(window_index) / _STATE_NAME)
-        if payload is None:
+        """The sealed window's metadata payload."""
+        payload = self._sealed(window_index)
+        if payload is None or payload["meta"] is None:
             raise CheckpointError(
                 f"no state metadata stored for window {window_index}")
-        return payload
+        return payload["meta"]
 
     def load_window_state(self, window_index: int
                           ) -> tuple[list[Checkpoint], dict[str, Any]]:
-        """Load a *complete* window's checkpoints and metadata.
+        """Load a sealed window's per-particle checkpoints and metadata.
 
-        Unlike :meth:`load_window` (which globs whatever files exist),
-        this refuses torn windows: the completion marker must be present
-        and every promised particle file must load.
+        Refuses unsealed (torn or damaged) windows.  Particles that shared
+        one checkpoint when the window was saved share one restored
+        :class:`Checkpoint` object.
         """
-        expected = self.expected_count(window_index)
-        if expected is None:
+        payload = self._sealed(window_index)
+        if payload is None:
             raise CheckpointError(
-                f"window {window_index} has no completion marker; "
-                "refusing to load a possibly torn window")
-        checkpoints = [self.load(window_index, i) for i in range(expected)]
-        return checkpoints, self.load_window_meta(window_index)
+                f"window {window_index} is not sealed (no valid "
+                f"{_WINDOW_NAME}); refusing to load a possibly torn window")
+        if payload["meta"] is None:
+            raise CheckpointError(
+                f"no state metadata stored for window {window_index}")
+        return self._checkpoints_in(payload), payload["meta"]
 
-    def particle_count(self, window_index: int) -> int:
-        directory = self._window_dir(window_index)
-        if not directory.is_dir():
-            return 0
-        return len(list(directory.glob("particle_*.ckpt.json")))
+    @staticmethod
+    def _checkpoints_in(payload: dict) -> list[Checkpoint]:
+        """A sealed window file's per-particle checkpoints, duplicates
+        sharing one object."""
+        distinct = [Checkpoint.from_dict(p) for p in payload["checkpoints"]]
+        return [distinct[r] for r in payload["rows"]]
 
     def stored_windows(self) -> list[int]:
-        """Indices of all windows with a directory, complete or not."""
+        """Indices of all windows with a directory, sealed or not."""
         out = []
         for child in sorted(self._root.glob("window_*")):
             if child.is_dir():
@@ -279,7 +266,7 @@ class CheckpointStore:
         return out
 
     def prune(self, keep_last: int) -> list[int]:
-        """Retention GC: delete old *complete* windows, keep the newest
+        """Retention GC: delete old *sealed* windows, keep the newest
         ``keep_last``.
 
         Only sealed windows are candidates — an unsealed window directory
@@ -299,13 +286,13 @@ class CheckpointStore:
         for index in doomed:
             shutil.rmtree(self._window_dir(index))
         if doomed:
-            self.write_manifest()
+            self._update_manifest(dropped=doomed)
         return doomed
 
     # ------------------------------------------------------------------ #
     def write_run_meta(self, fingerprint: dict) -> None:
         """Durably record the run's config/seed fingerprint."""
-        self._write_json_atomic(self._root / _RUN_META_NAME, fingerprint)
+        write_json_atomic(self._root / _RUN_META_NAME, fingerprint)
 
     def read_run_meta(self) -> dict | None:
         """The stored fingerprint, or ``None`` for a fresh store."""
@@ -335,17 +322,42 @@ class CheckpointStore:
 
     # ------------------------------------------------------------------ #
     def write_manifest(self) -> StoreManifest:
-        """Scan the store and atomically rewrite the manifest."""
+        """Scan every stored window and atomically rewrite the manifest."""
         windows: dict[int, int] = {}
         complete: dict[int, bool] = {}
         for index in self.stored_windows():
-            windows[index] = self.particle_count(index)
-            complete[index] = self.window_complete(index)
+            payload = self._sealed(index)
+            windows[index] = 0 if payload is None else len(payload["rows"])
+            complete[index] = payload is not None
         manifest = StoreManifest(run_id=self._run_id, windows=windows,
                                  complete=complete)
-        self._write_json_atomic(self._root / _MANIFEST_NAME,
-                                manifest.to_dict())
+        write_json_atomic(self._root / _MANIFEST_NAME, manifest.to_dict())
         return manifest
+
+    def _update_manifest(self, *, sealed: dict[int, int] | None = None,
+                         dropped: Sequence[int] = ()) -> None:
+        """Record sealed or deleted windows without rescanning the store.
+
+        A missing or unreadable manifest is rebuilt by a full scan.
+        """
+        current = self._read_json(self._root / _MANIFEST_NAME)
+        if current is None:
+            self.write_manifest()
+            return
+        try:
+            manifest = StoreManifest.from_dict(current)
+        except (TypeError, ValueError, AttributeError):
+            self.write_manifest()
+            return
+        windows, complete = dict(manifest.windows), dict(manifest.complete)
+        for index, n_particles in (sealed or {}).items():
+            windows[index], complete[index] = n_particles, True
+        for index in dropped:
+            windows.pop(index, None)
+            complete.pop(index, None)
+        write_json_atomic(self._root / _MANIFEST_NAME, StoreManifest(
+            run_id=self._run_id, windows=dict(sorted(windows.items())),
+            complete=dict(sorted(complete.items()))).to_dict())
 
     def read_manifest(self) -> StoreManifest:
         path = self._root / _MANIFEST_NAME
@@ -355,16 +367,15 @@ class CheckpointStore:
             return StoreManifest.from_dict(json.load(fh))
 
     def latest_restart_point(self) -> tuple[int, list[Checkpoint]] | None:
-        """Most recent *complete* window for resuming an interrupted run.
+        """Most recent *sealed* window for resuming an interrupted run.
 
-        Walks stored windows newest-first and skips any without a
-        validating completion marker, so a window torn by the crash being
-        recovered from is never mistaken for a restart point.
+        Walks stored windows newest-first and skips unsealed ones, so a
+        window torn by the crash being recovered from is never mistaken
+        for a restart point.
         """
         self.write_manifest()
         for index in sorted(self.stored_windows(), reverse=True):
-            if self.window_complete(index):
-                expected = self.expected_count(index)
-                assert expected is not None
-                return index, [self.load(index, i) for i in range(expected)]
+            payload = self._sealed(index)
+            if payload is not None:
+                return index, self._checkpoints_in(payload)
         return None

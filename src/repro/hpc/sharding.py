@@ -41,7 +41,7 @@ import numpy as np
 
 from ..core.contracts import check_shaped
 from ..seir.batch_engine import BatchedBinomialLeapEngine, BatchTrajectory
-from ..seir.checkpoint import StackedLeapState, stack_leap_snapshots
+from ..seir.checkpoint import StackedLeapState
 from ..seir.parameters import DiseaseParameters
 from ..seir.seeding import batch_generator_for
 from ..seir.tauleap import transition_table_key
@@ -51,7 +51,7 @@ from .partition import shard_bounds
 
 __all__ = ["GroupSpec", "GroupShards", "ShardTask", "ShardResult",
            "run_shard", "dispatch_shards", "simulate_groups",
-           "simulate_group_sets", "structural_groups", "build_group_specs",
+           "simulate_group_sets", "structural_groups",
            "validate_shard_policy", "resolve_shard_layout"]
 
 
@@ -318,34 +318,6 @@ def dispatch_shards(executor: Executor, tasks: Sequence[ShardTask], *,
 # --------------------------------------------------------------------------- #
 # Group-level front door
 # --------------------------------------------------------------------------- #
-def build_group_specs(groups: Sequence[Sequence[int]],
-                      params_list: Sequence[DiseaseParameters],
-                      seeds: Sequence[int], *,
-                      start_day: int | None = None,
-                      snapshots: Sequence[dict] | None = None
-                      ) -> list["GroupSpec"]:
-    """One :class:`GroupSpec` per structural group over parallel arrays.
-
-    ``groups`` is :func:`structural_groups` output over ``params_list``;
-    ``seeds`` is the matching per-member seed list.  Fresh starts pass
-    ``start_day``; restarts pass ``snapshots`` (per-member scalar leap
-    snapshot dicts, stacked **once per group** here and sliced per shard
-    downstream).  Every member's theta rides in from its own params.
-    """
-    specs = []
-    for indices in groups:
-        state = None
-        if snapshots is not None:
-            state = stack_leap_snapshots([snapshots[i] for i in indices])
-        specs.append(GroupSpec(
-            params=params_list[indices[0]],
-            seeds=np.array([seeds[i] for i in indices], dtype=np.int64),
-            thetas=np.array([params_list[i].transmission_rate
-                             for i in indices]),
-            start_day=start_day, state=state))
-    return specs
-
-
 @dataclass(frozen=True)
 class GroupSpec:
     """One structural group's simulation order (parent-side, never pickled).

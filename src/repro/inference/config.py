@@ -9,7 +9,7 @@ model) on demand, so scripts and benches configure runs declaratively.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from ..core.diagnostics import DEGENERACY_THRESHOLD
 from ..core.observation import ObservationModel, paper_observation_model
@@ -196,7 +196,14 @@ class CalibrationConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CalibrationConfig":
+        """Inverse of :meth:`to_dict`; unknown keys (such as ones an older
+        or newer version wrote) raise a ``ValueError`` naming them."""
         payload = dict(d)
+        unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(
+                f"unknown CalibrationConfig key(s) {unknown}; "
+                "remove them from the config payload")
         if "window_breaks" in payload:
             payload["window_breaks"] = tuple(payload["window_breaks"])
         return cls(**payload)

@@ -28,17 +28,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from ..core.particle import Particle, ParticleEnsemble
-from ..core.posterior import TrajectoryRibbon, trajectory_ribbon
+import numpy as np
+
+from ..core.particle import ParticleEnsemble
+from ..core.posterior import TrajectoryRibbon, matrix_ribbon
 from ..data.sources import CASES
 from ..hpc.executor import Executor, SerialExecutor
-from ..hpc.sharding import (build_group_specs, resolve_shard_layout,
-                            simulate_groups, structural_groups)
-from ..seir.checkpoint import Checkpoint
+from ..hpc.sharding import (GroupSpec, resolve_shard_layout, simulate_groups,
+                            structural_groups)
+from ..seir.batch_engine import BatchTrajectory
+from ..seir.checkpoint import Checkpoint, stack_leap_snapshots
 from ..seir.model import StochasticSEIRModel
 from ..seir.outputs import Trajectory
 from ..seir.parameters import ParameterOverride
-from ..seir.seeding import mix_seed, register_stream_tag
+from ..seir.seeding import mix_seeds, register_stream_tag
 
 __all__ = ["Forecast", "forecast_from_posterior", "forecast_scenarios"]
 
@@ -67,92 +70,160 @@ def _run_continuation_task(task: _ContinuationTask) -> Trajectory:
 
 @dataclass(frozen=True)
 class Forecast:
-    """Posterior predictive trajectory ensemble."""
+    """Posterior predictive trajectory ensemble.
+
+    ``batch`` holds the continuations' channel matrices, one row per
+    forecast entry; per-entry :class:`~repro.seir.outputs.Trajectory`
+    objects are built only when :attr:`trajectories` is read.
+    Continuations of checkpoints taken on different days cover different
+    day ranges and cannot share one matrix: they are kept as ``ragged``
+    trajectories, ``batch`` is ``None`` and there is no per-day ribbon.
+    Calibrator posteriors always share one day.
+    """
 
     start_day: int
     horizon_days: int
-    trajectories: tuple[Trajectory, ...]
+    batch: BatchTrajectory | None
+    ragged: tuple[Trajectory, ...] = ()
+
+    @classmethod
+    def from_trajectories(cls, start_day: int, horizon_days: int,
+                          trajectories: Sequence[Trajectory]) -> "Forecast":
+        """Stack records sharing one day range; keep others ragged."""
+        first = trajectories[0]
+        if all(t.start_day == first.start_day and len(t) == len(first)
+               for t in trajectories):
+            return cls(start_day, horizon_days,
+                       BatchTrajectory.from_trajectories(trajectories))
+        return cls(start_day, horizon_days, None, tuple(trajectories))
+
+    @property
+    def trajectories(self) -> tuple[Trajectory, ...]:
+        if self.batch is None:
+            return self.ragged
+        return tuple(self.batch.trajectories())
 
     def ribbon(self, channel: str = CASES,
                quantiles: Sequence[float] = (0.05, 0.25, 0.5, 0.75, 0.95),
                ) -> TrajectoryRibbon:
         """Per-day forecast quantile bands."""
-        return trajectory_ribbon(list(self.trajectories), channel, quantiles)
+        if self.batch is None:
+            raise ValueError("forecast entries cover different day ranges "
+                             "(checkpoints taken on different days), so "
+                             "they have no per-day ribbon")
+        return matrix_ribbon(self.batch.start_day,
+                             self.batch.channel_matrix(channel), quantiles)
 
     def __len__(self) -> int:
-        return len(self.trajectories)
+        return len(self.ragged) if self.batch is None \
+            else self.batch.n_particles
 
 
-def _forecast_entries(posterior: ParticleEnsemble, base_seed: int,
-                      n_per_particle: int) -> tuple[list[Particle], list[int]]:
-    """Replicate-major entry order shared by the per-particle and batched
-    paths."""
-    entries: list[Particle] = []
-    seeds: list[int] = []
-    for rep in range(n_per_particle):
-        for j, particle in enumerate(posterior):
-            if particle.checkpoint is None:
-                raise ValueError("posterior particles carry no checkpoints")
-            entries.append(particle)
-            seeds.append(mix_seed(base_seed, _FORECAST_STREAM, rep, j,
-                                  particle.seed))
-    return entries, seeds
+@dataclass(frozen=True)
+class _ForecastPlan:
+    """The forecast entries of a posterior, as columns.
+
+    Entries are replicate-major: entry ``rep * n + j`` continues posterior
+    row ``j`` for the ``rep``-th time.  ``rows`` maps each entry to its
+    checkpoint in ``checkpoints`` (the posterior's distinct checkpoints)
+    and ``seeds`` holds its continuation seed.
+    """
+
+    checkpoints: list[Checkpoint]
+    rows: np.ndarray
+    seeds: np.ndarray
+
+    @property
+    def start_day(self) -> int:
+        return self.checkpoints[int(self.rows[0])].day
 
 
-def _batchable(posterior: ParticleEnsemble) -> bool:
+def _forecast_plan(posterior: ParticleEnsemble, base_seed: int,
+                   n_per_particle: int) -> _ForecastPlan:
+    """Entry order, checkpoints and seeds shared by the batched forecast and
+    its per-particle reference."""
+    try:
+        checkpoints, rows = posterior.distinct_checkpoints()
+    except ValueError:
+        raise ValueError("posterior particles carry no checkpoints") from None
+    n = len(posterior)
+    replicate = np.repeat(np.arange(n_per_particle, dtype=np.int64), n)
+    row = np.tile(np.arange(n, dtype=np.int64), n_per_particle)
+    seeds = mix_seeds(base_seed, _FORECAST_STREAM, replicate, row,
+                      posterior.seeds()[row])
+    return _ForecastPlan(checkpoints=checkpoints, rows=rows[row],
+                         seeds=seeds)
+
+
+def _batchable(checkpoints: Sequence[Checkpoint]) -> bool:
     """True when every checkpoint can restart on the batched leap engine.
 
     Requires leap-format snapshots with no active transmission schedule,
     all sitting at one shared day and ``steps_per_day`` (a batch advances
     on a single clock); anything else forecasts per particle.
     """
-    cps = [p.checkpoint for p in posterior]
-    if any(cp is None or cp.engine_name != "binomial_leap"
-           or cp.theta_schedule is not None for cp in cps):
+    if any(cp.engine_name != "binomial_leap" or cp.theta_schedule is not None
+           for cp in checkpoints):
         return False
-    first = cps[0].snapshot
+    first = checkpoints[0].snapshot
     day = first.get("day")
     steps = first.get("steps_per_day")
     return all(cp.snapshot.get("day") == day
-               and cp.snapshot.get("steps_per_day") == steps for cp in cps)
+               and cp.snapshot.get("steps_per_day") == steps
+               for cp in checkpoints)
 
 
-def _per_particle_forecast(entries: list[Particle], seeds: list[int],
-                           end_day: int, executor: Executor
-                           ) -> list[Trajectory]:
+def _per_particle_forecast(plan: _ForecastPlan, end_day: int,
+                           executor: Executor) -> list[Trajectory]:
     """One checkpoint-restart task per forecast entry.
 
     Replicates (and resampled duplicates) share checkpoint objects, so
     each distinct checkpoint is serialised once, not once per entry.
     """
-    payload_cache: dict[int, dict] = {}
-    tasks = []
-    for p, seed in zip(entries, seeds):
-        payload = payload_cache.get(id(p.checkpoint))
-        if payload is None:
-            payload = p.checkpoint.to_dict()
-            payload_cache[id(p.checkpoint)] = payload
-        tasks.append(_ContinuationTask(checkpoint_payload=payload, seed=seed,
-                                       end_day=end_day))
+    payloads = [cp.to_dict() for cp in plan.checkpoints]
+    tasks = [_ContinuationTask(checkpoint_payload=payloads[row], seed=seed,
+                               end_day=end_day)
+             for row, seed in zip(plan.rows.tolist(), plan.seeds.tolist())]
     return executor.map(_run_continuation_task, tasks)
 
 
-def _batched_forecast(entries: list[Particle], seeds: list[int],
-                      end_day: int, executor: Executor,
-                      layout: dict) -> list[Trajectory]:
-    """Sharded batched path: stack checkpoints per group, shard, dispatch."""
-    params_list = [p.checkpoint.params for p in entries]
-    groups = structural_groups(params_list)
-    specs = build_group_specs(
-        groups, params_list, seeds,
-        snapshots=[p.checkpoint.snapshot for p in entries])
+def _batched_forecast(plan: _ForecastPlan, end_day: int, executor: Executor,
+                      layout: dict) -> BatchTrajectory:
+    """Sharded batched path: stack checkpoints per group, shard, dispatch.
+
+    Entries group by their checkpoints' structure, in order of first
+    appearance; each group stacks its distinct checkpoints once and takes
+    its entries' rows of that stack.
+    """
+    params = [cp.params for cp in plan.checkpoints]
+    group_of = np.empty(len(params), dtype=np.int64)
+    local = np.empty(len(params), dtype=np.int64)
+    stacks = []
+    for g, members in enumerate(structural_groups(params)):
+        group_of[members] = g
+        local[members] = np.arange(len(members))
+        stacks.append(stack_leap_snapshots(
+            [plan.checkpoints[k].snapshot for k in members]))
+    thetas = np.array([p.transmission_rate for p in params])
+    entry_group = group_of[plan.rows]
+    groups = [np.flatnonzero(entry_group == g) for g in range(len(stacks))]
+    specs = []
+    for g, entries in enumerate(groups):
+        rows = plan.rows[entries]
+        specs.append(GroupSpec(params=params[int(rows[0])],
+                               seeds=plan.seeds[entries],
+                               thetas=thetas[rows],
+                               state=stacks[g].rows(local[rows])))
     shards = simulate_groups(executor, specs, end_day=end_day,
                              return_state=False, **layout)
-    trajectories: list[Trajectory | None] = [None] * len(entries)
-    for indices, group in zip(groups, shards):
-        for member, result, row in group.member_items():
-            trajectories[indices[member]] = result.batch.trajectory(row)
-    return trajectories  # type: ignore[return-value]
+    blocks = [result.batch for group in shards for result in group.results]
+    order = np.concatenate([entries[lo:hi]
+                            for entries, group in zip(groups, shards)
+                            for lo, hi in group.bounds])
+    batch = BatchTrajectory.concatenate(blocks)
+    if not np.array_equal(order, np.arange(len(order))):
+        batch = batch.rows(np.argsort(order))
+    return batch
 
 
 def forecast_from_posterior(posterior: ParticleEnsemble, horizon_days: int,
@@ -190,22 +261,14 @@ def forecast_from_posterior(posterior: ParticleEnsemble, horizon_days: int,
     executor = executor or SerialExecutor()
     layout = resolve_shard_layout(executor, shard_size=shard_size,
                                   n_shards=n_shards)
-
-    first_cp = posterior[0].checkpoint if len(posterior) else None
-    if first_cp is None:
-        raise ValueError("posterior particles carry no checkpoints")
-    start_day = first_cp.day
-    end_day = start_day + horizon_days
-
-    entries, seeds = _forecast_entries(posterior, base_seed, n_per_particle)
-    if _batchable(posterior):
-        trajectories = _batched_forecast(entries, seeds, end_day, executor,
-                                         layout)
-    else:
-        trajectories = _per_particle_forecast(entries, seeds, end_day,
-                                              executor)
-    return Forecast(start_day=start_day, horizon_days=horizon_days,
-                    trajectories=tuple(trajectories))
+    plan = _forecast_plan(posterior, base_seed, n_per_particle)
+    end_day = plan.start_day + horizon_days
+    if not _batchable(plan.checkpoints):
+        return Forecast.from_trajectories(
+            plan.start_day, horizon_days,
+            _per_particle_forecast(plan, end_day, executor))
+    return Forecast(start_day=plan.start_day, horizon_days=horizon_days,
+                    batch=_batched_forecast(plan, end_day, executor, layout))
 
 
 def forecast_scenarios(posteriors: "Mapping[str, ParticleEnsemble]",

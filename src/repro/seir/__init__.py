@@ -12,7 +12,7 @@ from .model import ENGINE_NAMES, StochasticSEIRModel, engine_class
 from .outputs import Trajectory, TrajectoryBuilder
 from .parameters import DiseaseParameters, ParameterOverride, chicago_defaults
 from .seeding import (SeedSequenceBank, batch_generator_for, generator_for,
-                      mix_seed)
+                      mix_seed, mix_seeds)
 from .tauleap import (BinomialLeapEngine, CompiledTransitions,
                       compiled_transitions_for, transition_table_key)
 
@@ -21,6 +21,7 @@ __all__ = [
     "build_transitions", "infectiousness_weights",
     "DiseaseParameters", "ParameterOverride", "chicago_defaults",
     "SeedSequenceBank", "generator_for", "batch_generator_for", "mix_seed",
+    "mix_seeds",
     "Trajectory", "TrajectoryBuilder",
     "BinomialLeapEngine", "GillespieEngine", "EventDrivenEngine",
     "BatchedBinomialLeapEngine", "BatchTrajectory", "stack_channel_tensor",

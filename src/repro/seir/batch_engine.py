@@ -65,6 +65,8 @@ fresh batch stream from its new seed vector.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from ..core.contracts import shaped
@@ -169,6 +171,22 @@ class BatchTrajectory:
 
     def trajectories(self) -> list[Trajectory]:
         return [self.trajectory(i) for i in range(self.n_particles)]
+
+    @classmethod
+    def from_trajectories(cls, trajectories: "Sequence[Trajectory]"
+                          ) -> "BatchTrajectory":
+        """Stack per-particle records that share one day range."""
+        if not trajectories:
+            raise ValueError("need at least one trajectory to stack")
+        first = trajectories[0]
+        if any(t.start_day != first.start_day or len(t) != len(first)
+               for t in trajectories):
+            raise ValueError("trajectories must share one day range")
+        return cls(first.start_day,
+                   np.stack([t.infections for t in trajectories]),
+                   np.stack([t.deaths for t in trajectories]),
+                   np.stack([t.hospital_census for t in trajectories]),
+                   np.stack([t.icu_census for t in trajectories]))
 
     @classmethod
     def concatenate(cls, batches: "list[BatchTrajectory]"

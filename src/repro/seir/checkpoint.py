@@ -34,7 +34,7 @@ from ..data.schedule import PiecewiseConstant
 from .parameters import DiseaseParameters, ParameterOverride
 
 __all__ = ["Checkpoint", "CheckpointError", "StackedLeapState",
-           "stack_leap_snapshots"]
+           "distinct_checkpoints", "stack_leap_snapshots"]
 
 _FORMAT_VERSION = 1
 
@@ -166,6 +166,30 @@ class Checkpoint:
             except json.JSONDecodeError as exc:
                 raise CheckpointError(f"checkpoint file is not valid JSON: {exc}") from exc
         return cls.from_dict(payload)
+
+
+def distinct_checkpoints(checkpoints: Sequence[Checkpoint | None]
+                         ) -> tuple[list[Checkpoint], np.ndarray]:
+    """The distinct checkpoint objects of a column, and each row's index.
+
+    Resampled duplicates of one ancestor share its :class:`Checkpoint`
+    object, so a posterior holds far fewer distinct checkpoints than rows.
+    Returns the distinct objects in order of first appearance and an int64
+    vector mapping every row to its object.  Rows are matched by identity,
+    not by value.  Raises ``ValueError`` naming the first row that carries
+    no checkpoint.
+    """
+    position: dict[int, int] = {}
+    distinct: list[Checkpoint] = []
+    rows = np.empty(len(checkpoints), dtype=np.int64)
+    for j, checkpoint in enumerate(checkpoints):
+        if checkpoint is None:
+            raise ValueError(f"particle {j} carries no checkpoint")
+        k = position.setdefault(id(checkpoint), len(distinct))
+        if k == len(distinct):
+            distinct.append(checkpoint)
+        rows[j] = k
+    return distinct, rows
 
 
 # --------------------------------------------------------------------------- #

@@ -33,7 +33,7 @@ import numpy as np
 import numpy.typing
 
 __all__ = ["SeedSequenceBank", "generator_for", "batch_generator_for",
-           "mix_seed", "StreamDomain", "StreamDomainRegistry",
+           "mix_seed", "mix_seeds", "StreamDomain", "StreamDomainRegistry",
            "STREAM_DOMAINS", "register_stream_tag",
            "register_ancillary_purpose", "rng_state_to_jsonable",
            "rng_from_jsonable"]
@@ -213,6 +213,108 @@ def mix_seed(*components: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0] & 0x7FFFFFFFFFFFFFFF)
 
 
+# ``SeedSequence``'s mixing constants (numpy/random/bit_generator.pyx).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_MASK63 = 0x7FFFFFFFFFFFFFFF
+
+
+class _HashMix:
+    """``SeedSequence``'s ``hashmix`` over uint32 arrays.
+
+    Every call advances one hash constant shared by all rows, exactly as
+    the scalar mixer advances it once per call.
+    """
+
+    def __init__(self) -> None:
+        self.const = _INIT_A
+
+    def __call__(self, value: np.ndarray) -> np.ndarray:
+        value = value ^ np.uint32(self.const)
+        self.const = (self.const * _MULT_A) & _MASK32
+        value = value * np.uint32(self.const)
+        return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _masked_words(component: np.typing.ArrayLike) -> np.ndarray:
+    """One ``mix_seed`` component, masked to 63 bits, as a uint64 array."""
+    if isinstance(component, (int, np.integer)):
+        return np.asarray(int(component) & _MASK63, dtype=np.uint64)
+    arr = np.asarray(component)
+    if arr.dtype.kind not in "iu":
+        raise TypeError(f"mix_seeds components must be integers, got "
+                        f"dtype {arr.dtype}")
+    return arr.astype(np.uint64) & np.uint64(_MASK63)
+
+
+def mix_seeds(*components: np.typing.ArrayLike) -> np.ndarray:
+    """:func:`mix_seed` over broadcast integer arrays, bit for bit.
+
+    Element ``i`` of the result equals ``mix_seed(*(c[i] for c in
+    components))``; scalars broadcast.  This is ``SeedSequence``'s entropy
+    mixing ported to uint32 array arithmetic: each masked component
+    contributes its low 32-bit word, plus its high word when that is
+    nonzero, so rows may differ in entropy length.  Rows are compacted to
+    their own word sequences and pool words past a row's length leave it
+    untouched.  Returns an int64 array of the broadcast shape.
+    """
+    if not components:
+        raise ValueError("mix_seeds needs at least one component")
+    masked = np.broadcast_arrays(*(_masked_words(c) for c in components))
+    shape = masked[0].shape
+    values = np.stack([m.reshape(-1) for m in masked], axis=1)
+    n, k = values.shape
+    lo = (values & np.uint64(_MASK32)).astype(np.uint32)
+    hi = (values >> np.uint64(32)).astype(np.uint32)
+    words = np.stack([lo, hi], axis=2).reshape(n, 2 * k)
+    present = np.stack([np.ones_like(lo, dtype=bool), hi != 0],
+                       axis=2).reshape(n, 2 * k)
+    # Absent high words are zero, so a stable sort of the present words to
+    # the front compacts every row and leaves zeros behind it.
+    order = np.argsort(~present, axis=1, kind="stable")
+    words = np.take_along_axis(words, order, axis=1)
+    lengths = present.sum(axis=1)
+    width = max(2 * k, _POOL_SIZE)
+    if width > words.shape[1]:
+        words = np.concatenate(
+            [words, np.zeros((n, width - words.shape[1]), dtype=np.uint32)],
+            axis=1)
+
+    hashmix = _HashMix()
+    # A row shorter than the pool hashes zeros into its tail, which is what
+    # the zero padding above feeds in.
+    pool = [hashmix(words[:, i]) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = _mix(pool[i_dst], hashmix(pool[i_src]))
+    for i_src in range(_POOL_SIZE, width):
+        active = lengths > i_src
+        for i_dst in range(_POOL_SIZE):
+            mixed = _mix(pool[i_dst], hashmix(words[:, i_src]))
+            pool[i_dst] = np.where(active, mixed, pool[i_dst])
+
+    # generate_state(1, uint64): two output words, low word first.
+    const = _INIT_B
+    out = []
+    for word in pool[:2]:
+        value = word ^ np.uint32(const)
+        const = (const * _MULT_B) & _MASK32
+        value = value * np.uint32(const)
+        out.append(value ^ (value >> np.uint32(16)))
+    seeds = (out[0].astype(np.uint64)
+             | (out[1].astype(np.uint64) << np.uint64(32))) & np.uint64(_MASK63)
+    return seeds.astype(np.int64).reshape(shape)
+
+
 @dataclass(frozen=True)
 class SeedSequenceBank:
     """Reproducible seed supply for one calibration run.
@@ -360,6 +462,18 @@ class SeedSequenceBank:
             raise ValueError("window_index and draw_index must be >= 0")
         return mix_seed(self.base_seed, _WINDOW_DRAW_STREAM, window_index,
                         draw_index)
+
+    def window_draw_seeds(self, window_index: int,
+                          n_draws: int) -> np.ndarray:
+        """Seeds of draws ``0 .. n_draws - 1`` in window ``window_index``.
+
+        Element ``i`` equals ``window_draw_seed(window_index, i)``, derived
+        for the whole cloud in one :func:`mix_seeds` call.
+        """
+        if window_index < 0 or n_draws < 0:
+            raise ValueError("window_index and n_draws must be >= 0")
+        return mix_seeds(self.base_seed, _WINDOW_DRAW_STREAM, window_index,
+                         np.arange(n_draws, dtype=np.int64))
 
 
 # --------------------------------------------------------------------------- #

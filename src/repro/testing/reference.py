@@ -30,7 +30,7 @@ from ..core.particle import Particle, ParticleEnsemble
 from ..core.smc import BIAS_PARAM, PendingWindow, SequentialCalibrator
 from ..data.sources import ObservationSet
 from ..hpc.executor import Executor, SerialExecutor
-from ..inference.forecast import (Forecast, _forecast_entries,
+from ..inference.forecast import (Forecast, _forecast_plan,
                                   _per_particle_forecast)
 from ..seir.model import StochasticSEIRModel, engine_class
 from ..seir.parameters import ParameterOverride
@@ -45,9 +45,8 @@ class ReferenceCalibrator(SequentialCalibrator):
     ``engine``: the scalar engine name members are simulated on, or
     ``None`` to keep the production sharded simulation and swap only the
     weighting.  ``SMCConfig.engine_options`` are passed to fresh starts.
-    Continuations propose through the production path, which stacks the
-    parents' checkpoints, so multi-window runs need ``"binomial_leap"``
-    (the default) checkpoints.
+    Continuations restart each parent's own checkpoint, so any scalar
+    engine runs a multi-window calibration.
     """
 
     def __init__(self, *args, engine: str | None = "binomial_leap",
@@ -134,10 +133,8 @@ def reference_forecast(posterior: ParticleEnsemble, horizon_days: int,
     """
     if horizon_days < 1:
         raise ValueError("horizon_days must be >= 1")
-    entries, seeds = _forecast_entries(posterior, base_seed, n_per_particle)
-    start_day = entries[0].checkpoint.day
-    trajectories = _per_particle_forecast(
-        entries, seeds, start_day + horizon_days,
-        executor or SerialExecutor())
-    return Forecast(start_day=start_day, horizon_days=horizon_days,
-                    trajectories=tuple(trajectories))
+    plan = _forecast_plan(posterior, base_seed, n_per_particle)
+    return Forecast.from_trajectories(
+        plan.start_day, horizon_days,
+        _per_particle_forecast(plan, plan.start_day + horizon_days,
+                               executor or SerialExecutor()))

@@ -349,3 +349,30 @@ class TestScenarioTagFixtures:
         scenarios = Path(SRC) / "repro" / "core" / "scenarios.py"
         seeding = Path(SRC) / "repro" / "seir" / "seeding.py"
         assert run_lint([str(scenarios), str(seeding)]) == []
+
+
+class TestVectorisedMixSeeds:
+    """``mix_seeds`` derives whole seed vectors, so its stream tag is held
+    to the same registered-constant rule as ``mix_seed``'s."""
+
+    def test_literal_and_unregistered_tags_flagged(self, tmp_path):
+        part = tmp_path / "inference"
+        part.mkdir()
+        mod = part / "vector_seeds.py"
+        mod.write_text(
+            "import numpy as np\n"
+            "from repro.seir.seeding import mix_seeds, register_stream_tag\n"
+            "\n"
+            "_OK_STREAM = register_stream_tag('vector_ok', 9901)\n"
+            "_LOCAL_STREAM = 9902\n"
+            "\n"
+            "\n"
+            "def seeds(base: int, n: int) -> np.ndarray:\n"
+            "    a = mix_seeds(base, _OK_STREAM, np.arange(n))\n"
+            "    b = mix_seeds(base, 9902, np.arange(n))\n"
+            "    c = mix_seeds(base, _LOCAL_STREAM, np.arange(n))\n"
+            "    return a + b + c\n")
+        violations = run_lint([str(mod)], select=["REPRO102"])
+        assert [v.line for v in violations] == [10, 11], \
+            [v.render() for v in violations]
+        assert all("mix_seeds" in v.message for v in violations)

@@ -181,3 +181,31 @@ class TestBatchedRunBehaviour:
             assert p.checkpoint.params.transmission_rate == pytest.approx(
                 p.params["theta"])
 
+
+
+class TestScalarEngineContinuations:
+    """The per-particle reference restarts each parent's own checkpoint,
+    so non-leap engines calibrate across windows: parent checkpoints are
+    stacked only by the production simulate seam, never while proposing."""
+
+    @pytest.mark.parametrize("engine", ["event_driven", "gillespie"])
+    def test_three_window_run(self, engine):
+        params = DiseaseParameters(population=5_000, initial_exposed=20)
+        truth = make_ground_truth(
+            params=params, horizon=20, seed=8,
+            theta_schedule=PiecewiseConstant.constant(0.3),
+            rho_schedule=PiecewiseConstant.constant(0.7))
+        calib = ReferenceCalibrator(
+            base_params=params, prior=paper_first_window_prior(),
+            jitter=paper_window_jitter(),
+            observation_model=paper_observation_model(),
+            schedule=WindowSchedule.from_breaks([8, 12, 16, 20]),
+            config=SMCConfig(n_parameter_draws=6, n_replicates=2,
+                             resample_size=8, base_seed=3),
+            engine=engine)
+        results = calib.run(truth.observations())
+        assert [r.index for r in results] == [0, 1, 2]
+        for result in results:
+            for checkpoint in result.posterior.checkpoints():
+                assert checkpoint.engine_name == engine
+                assert checkpoint.day == result.window.end_day

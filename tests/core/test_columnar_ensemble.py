@@ -13,7 +13,7 @@ from repro.core import (ParticleEnsemble, SequentialCalibrator, SMCConfig,
 from repro.data import PiecewiseConstant
 from repro.hpc import CheckpointStore
 from repro.seir import (BatchTrajectory, Checkpoint, DiseaseParameters,
-                        StackedLeapState, Trajectory)
+                        SeedSequenceBank, StackedLeapState, Trajectory)
 from repro.seir.batch_engine import leap_particle_snapshot
 from repro.sim import make_ground_truth
 from repro.testing import ReferenceCalibrator
@@ -116,6 +116,33 @@ class TestLazyCheckpoints:
                         state.steps_per_day, state.seeds[row]))
         for p in result.posterior:
             assert p.checkpoint.to_dict() == eager[p.ancestor].to_dict()
+
+
+class TestProposalSeeds:
+    @pytest.mark.parametrize("n_proposals", [1, 40, 97])
+    def test_restart_seeds_equal_the_scalar_loop(self, small_truth,
+                                                 n_proposals):
+        """Continuations derive all restart seeds in one vectorised call;
+        they are the per-draw ``window_draw_seed`` values."""
+        calib = SequentialCalibrator(
+            base_params=small_truth.params, prior=paper_first_window_prior(),
+            jitter=paper_window_jitter(),
+            observation_model=paper_observation_model(),
+            schedule=WindowSchedule.from_breaks([10, 15, 20, 25]),
+            config=SMCConfig(n_parameter_draws=10, n_replicates=2,
+                             resample_size=12, base_seed=17))
+        bank = SeedSequenceBank(17)
+        obs = small_truth.observations()
+        posterior = None
+        for index, window in enumerate(calib.schedule):
+            if index > 0:
+                pending = calib.propose_window(index, window, posterior,
+                                               n_proposals=n_proposals)
+                assert pending.seeds.tolist() == [
+                    bank.window_draw_seed(index, i)
+                    for i in range(n_proposals)]
+            posterior = calib.step_window(index, window, obs,
+                                          posterior).posterior
 
 
 class TestCallerInputErrors:

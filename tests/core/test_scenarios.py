@@ -25,8 +25,8 @@ from repro.core.scenarios import (SCENARIO_SETS, SCENARIOS, ScenarioOverride,
                                   scenario_set)
 from repro.data import PiecewiseConstant
 from repro.hpc import ProcessExecutor, SerialExecutor
-from repro.hpc.sharding import (build_group_specs, simulate_group_sets,
-                                simulate_groups, structural_groups)
+from repro.hpc.sharding import (GroupSpec, simulate_group_sets,
+                                simulate_groups)
 from repro.seir import CheckpointError, DiseaseParameters
 from repro.testing import (assert_runs_identical, parity_calibrator,
                            parity_sweep, parity_truth)
@@ -401,11 +401,9 @@ class TestSimulateGroupSets:
     @staticmethod
     def _spec_set(base_seed, n=6):
         params = DiseaseParameters(population=20_000, initial_exposed=40)
-        params_list = [params.with_updates(transmission_rate=0.2 + 0.01 * i)
-                       for i in range(n)]
-        seeds = [base_seed + i for i in range(n)]
-        groups = structural_groups(params_list)
-        return build_group_specs(groups, params_list, seeds, start_day=0)
+        return [GroupSpec(params=params,
+                          seeds=np.arange(base_seed, base_seed + n),
+                          thetas=0.2 + 0.01 * np.arange(n), start_day=0)]
 
     def test_flattened_dispatch_bit_identical_to_separate(self):
         sets = [self._spec_set(100), self._spec_set(500, n=4)]

@@ -1,4 +1,6 @@
-"""Unit tests for the parallel checkpoint store."""
+"""Unit tests for the checkpoint store (one sealed file per window)."""
+
+import json
 
 import pytest
 
@@ -16,33 +18,52 @@ def checkpoints(small_params):
     return out
 
 
+def window_file(store, index):
+    return store.root / f"window_{index:03d}" / "window.json"
+
+
+def tear(store, index):
+    """Leave window ``index`` as a crash before its seal would: a directory
+    holding only a half-written temp file."""
+    directory = store.root / f"window_{index:03d}"
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / "tmpabc123.tmp").write_text('{"format": "repro.check')
+
+
 class TestCheckpointStore:
     def test_save_and_load_particle(self, tmp_path, checkpoints):
         store = CheckpointStore(tmp_path, run_id="test")
-        store.save(0, 0, checkpoints[0])
-        loaded = store.load(0, 0)
+        store.save_window_state(0, checkpoints[:1], meta={"k": 1})
+        (loaded,), _ = store.load_window_state(0)
         assert loaded.day == checkpoints[0].day
         assert loaded.seed == checkpoints[0].seed
 
     def test_save_window_bulk(self, tmp_path, checkpoints):
         store = CheckpointStore(tmp_path)
         store.save_window(0, checkpoints)
-        assert store.particle_count(0) == 3
-        loaded = store.load_window(0)
+        assert store.read_manifest().windows == {0: 3}
+        window, loaded = store.latest_restart_point()
+        assert window == 0
         assert [c.seed for c in loaded] == [c.seed for c in checkpoints]
 
-    def test_load_missing_particle(self, tmp_path):
+    def test_load_missing_particle(self, tmp_path, checkpoints):
+        """A window file whose row index names a checkpoint payload it does
+        not hold is not a valid seal."""
         store = CheckpointStore(tmp_path)
-        with pytest.raises(CheckpointError, match="missing"):
-            store.load(0, 0)
+        store.save_window_state(0, checkpoints, meta={})
+        path = window_file(store, 0)
+        payload = json.loads(path.read_text())
+        payload["rows"][1] = len(payload["checkpoints"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="not sealed"):
+            store.load_window_state(0)
 
     def test_load_missing_window(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        with pytest.raises(CheckpointError, match="no checkpoints"):
-            store.load_window(5)
-
-    def test_particle_count_empty(self, tmp_path):
-        assert CheckpointStore(tmp_path).particle_count(2) == 0
+        with pytest.raises(CheckpointError, match="window 5 is not sealed"):
+            store.load_window_state(5)
+        with pytest.raises(CheckpointError, match="no state metadata"):
+            store.load_window_meta(5)
 
     def test_manifest_tracks_windows(self, tmp_path, checkpoints):
         store = CheckpointStore(tmp_path, run_id="runA")
@@ -70,8 +91,8 @@ class TestCheckpointStore:
     def test_restart_from_stored_checkpoint_runs(self, tmp_path, checkpoints,
                                                  small_params):
         store = CheckpointStore(tmp_path)
-        store.save(0, 0, checkpoints[0])
-        loaded = store.load(0, 0)
+        store.save_window(0, checkpoints[:1])
+        _, (loaded,) = store.latest_restart_point()
         model = StochasticSEIRModel.from_checkpoint(loaded)
         traj = model.run_until(15)
         assert traj.start_day == 10
@@ -79,13 +100,68 @@ class TestCheckpointStore:
     def test_negative_indices_rejected(self, tmp_path, checkpoints):
         store = CheckpointStore(tmp_path)
         with pytest.raises(ValueError):
-            store.save(-1, 0, checkpoints[0])
+            store.save_window(-1, checkpoints)
         with pytest.raises(ValueError):
-            store.save(0, -1, checkpoints[0])
+            store.window_complete(-1)
+
+
+class TestOneFilePerWindow:
+    """A window is one file: distinct checkpoints once, a row index per
+    particle, whatever the posterior size."""
+
+    @pytest.mark.parametrize("n_particles", [3, 300])
+    def test_persisting_writes_a_fixed_number_of_files(
+            self, tmp_path, checkpoints, n_particles):
+        store = CheckpointStore(tmp_path)
+        column = [checkpoints[i % 3] for i in range(n_particles)]
+        store.save_window_state(0, column, meta={"n": n_particles})
+        window_dir = store.root / "window_000"
+        assert sorted(p.name for p in window_dir.iterdir()) == ["window.json"]
+        assert sorted(p.name for p in store.root.iterdir()) == \
+            ["manifest.json", "window_000"]
+
+    def test_duplicates_stored_once_and_restored_shared(self, tmp_path,
+                                                        checkpoints):
+        store = CheckpointStore(tmp_path)
+        a, b, _ = checkpoints
+        store.save_window_state(0, [a, b, a, a, b], meta={})
+        payload = json.loads(window_file(store, 0).read_text())
+        assert len(payload["checkpoints"]) == 2
+        assert payload["rows"] == [0, 1, 0, 0, 1]
+        loaded, _ = store.load_window_state(0)
+        assert [c.seed for c in loaded] == [a.seed, b.seed, a.seed, a.seed,
+                                            b.seed]
+        assert loaded[0] is loaded[2] is loaded[3]
+        assert loaded[1] is loaded[4] and loaded[0] is not loaded[1]
+
+    def test_seal_does_not_rescan_stored_windows(self, tmp_path, checkpoints,
+                                                 monkeypatch):
+        store = CheckpointStore(tmp_path)
+        for w in range(3):
+            store.save_window(w, checkpoints)
+        reads = []
+        original = CheckpointStore._sealed
+        monkeypatch.setattr(
+            CheckpointStore, "_sealed",
+            lambda self, i: reads.append(i) or original(self, i))
+        store.save_window(3, checkpoints)
+        assert reads == []
+        assert store.read_manifest().windows == {0: 3, 1: 3, 2: 3, 3: 3}
+
+    def test_old_per_particle_layout_refused(self, tmp_path, checkpoints):
+        window_dir = tmp_path / "window_000"
+        window_dir.mkdir()
+        checkpoints[0].save(window_dir / "particle_000000.ckpt.json")
+        (window_dir / "COMPLETE.json").write_text('{"n_particles": 1}')
+        store = CheckpointStore(tmp_path)
+        with pytest.raises(CheckpointError, match="per-particle"):
+            store.window_complete(0)
+        with pytest.raises(CheckpointError, match=str(window_dir)):
+            store.latest_restart_point()
 
 
 class TestDurability:
-    """Atomic, fsync'd publication of checkpoints and store metadata."""
+    """Atomic, fsync'd publication of windows and store metadata."""
 
     def test_save_leaves_no_temp_files(self, tmp_path, checkpoints):
         store = CheckpointStore(tmp_path)
@@ -94,58 +170,64 @@ class TestDurability:
         assert leftovers == []
 
     def test_torn_write_never_observed(self, tmp_path, checkpoints):
-        """Overwriting an existing checkpoint is all-or-nothing: a reader
-        racing the writer sees the old payload or the new one, never a
-        truncated file."""
+        """Overwriting a sealed window is all-or-nothing: a reader sees the
+        old window or the new one, never a mix, and a truncated window
+        file fails loudly instead of loading partially."""
         store = CheckpointStore(tmp_path)
-        path = store.save(0, 0, checkpoints[0])
-        before = store.load(0, 0)
-        store.save(0, 0, checkpoints[1])
-        after = store.load(0, 0)
-        assert before.seed == checkpoints[0].seed
-        assert after.seed == checkpoints[1].seed
-        # A torn file on disk fails loudly instead of parsing partially.
+        store.save_window_state(0, checkpoints[:1], meta={"v": 0})
+        before, meta_before = store.load_window_state(0)
+        store.save_window_state(0, checkpoints[1:], meta={"v": 1})
+        after, meta_after = store.load_window_state(0)
+        assert [c.seed for c in before] == [checkpoints[0].seed]
+        assert meta_before == {"v": 0}
+        assert [c.seed for c in after] == [c.seed for c in checkpoints[1:]]
+        assert meta_after == {"v": 1}
+        path = window_file(store, 0)
         payload = path.read_text()
         path.write_text(payload[: len(payload) // 2])
-        with pytest.raises(CheckpointError, match="not valid JSON"):
-            store.load(0, 0)
+        assert not store.window_complete(0)
+        with pytest.raises(CheckpointError, match="torn"):
+            store.load_window_state(0)
 
 
 class TestWindowCompleteness:
-    """Completion markers separate torn windows from resumable ones."""
+    """Only a published window file seals a window."""
 
     def test_unmarked_window_is_incomplete(self, tmp_path, checkpoints):
         store = CheckpointStore(tmp_path)
-        store.save(0, 0, checkpoints[0])  # particles, but no marker
+        tear(store, 0)
+        assert store.stored_windows() == [0]
         assert not store.window_complete(0)
-        assert store.expected_count(0) is None
 
     def test_marker_with_missing_particles_is_incomplete(self, tmp_path,
                                                          checkpoints):
         store = CheckpointStore(tmp_path)
         store.save_window(0, checkpoints)
-        (store.root / "window_000" / "particle_000001.ckpt.json").unlink()
+        path = window_file(store, 0)
+        payload = json.loads(path.read_text())
+        payload["checkpoints"] = payload["checkpoints"][:1]
+        path.write_text(json.dumps(payload))
         assert not store.window_complete(0)
 
     def test_restart_point_skips_torn_window(self, tmp_path, checkpoints):
         """Regression: a crash mid-window used to be offered as a restart
-        point; now only the previous *complete* window is."""
+        point; now only the previous sealed window is."""
         store = CheckpointStore(tmp_path)
         store.save_window(0, checkpoints)
-        store.save(1, 0, checkpoints[0])  # window 1 torn: no marker
+        tear(store, 1)
         window, cps = store.latest_restart_point()
         assert window == 0
         assert len(cps) == 3
 
     def test_restart_point_none_when_all_torn(self, tmp_path, checkpoints):
         store = CheckpointStore(tmp_path)
-        store.save(0, 0, checkpoints[0])
+        tear(store, 0)
         assert store.latest_restart_point() is None
 
     def test_load_window_state_refuses_torn_window(self, tmp_path,
                                                    checkpoints):
         store = CheckpointStore(tmp_path)
-        store.save(0, 0, checkpoints[0])
+        tear(store, 0)
         with pytest.raises(CheckpointError, match="torn"):
             store.load_window_state(0)
 
@@ -156,6 +238,7 @@ class TestWindowCompleteness:
         cps, loaded_meta = store.load_window_state(0)
         assert [c.seed for c in cps] == [c.seed for c in checkpoints]
         assert loaded_meta == meta
+        assert store.load_window_meta(0) == meta
 
     def test_empty_window_rejected(self, tmp_path):
         store = CheckpointStore(tmp_path)
@@ -165,14 +248,14 @@ class TestWindowCompleteness:
     def test_corrupt_marker_treated_as_absent(self, tmp_path, checkpoints):
         store = CheckpointStore(tmp_path)
         store.save_window(0, checkpoints)
-        (store.root / "window_000" / "COMPLETE.json").write_text("{trunc")
+        window_file(store, 0).write_text("{trunc")
         assert not store.window_complete(0)
         assert store.latest_restart_point() is None
 
     def test_manifest_records_completeness(self, tmp_path, checkpoints):
         store = CheckpointStore(tmp_path)
         store.save_window(0, checkpoints)
-        store.save(1, 0, checkpoints[0])
+        tear(store, 1)
         manifest = store.write_manifest()
         assert manifest.complete == {0: True, 1: False}
         assert manifest.latest_complete_window() == 0
@@ -219,8 +302,7 @@ class TestPrune:
         store = CheckpointStore(tmp_path)
         self.seal(store, 0, checkpoints)
         self.seal(store, 1, checkpoints)
-        # Window 2 is torn: particles on disk but no completion marker.
-        store.save(2, 0, checkpoints[0])
+        tear(store, 2)
         assert store.prune(keep_last=1) == [0]
         assert store.stored_windows() == [1, 2]
         assert store.window_complete(1)

@@ -36,6 +36,14 @@ class TestCalibrationConfig:
         restored = CalibrationConfig.from_dict(cfg.to_dict())
         assert restored == cfg
 
+    def test_unknown_keys_named_in_a_value_error(self):
+        payload = CalibrationConfig().to_dict()
+        payload["engine"] = "binomial_leap_batched"
+        payload["zz_extra"] = 1
+        with pytest.raises(ValueError,
+                           match=r"\['engine', 'zz_extra'\]"):
+            CalibrationConfig.from_dict(payload)
+
     def test_temper_and_resample_policy_round_trip(self):
         cfg = CalibrationConfig(
             temper_degenerate=True, temper_threshold=0.1,

@@ -256,3 +256,59 @@ class TestForecastScenarios:
         swept = forecast_scenarios({"only": posterior}, 5, base_seed=9)
         for a, b in zip(alone.trajectories, swept["only"].trajectories):
             assert np.array_equal(a.infections, b.infections)
+
+
+class TestColumnarForecast:
+    """The forecast works on columns: vectorised seeds, restart state
+    stacked once per distinct checkpoint, ribbons from channel matrices."""
+
+    def test_entries_are_replicate_major_with_scalar_seeds(self, posterior):
+        from repro.inference.forecast import _FORECAST_STREAM, _forecast_plan
+        from repro.seir import mix_seed
+        plan = _forecast_plan(posterior, base_seed=5, n_per_particle=3)
+        assert plan.seeds.tolist() == [
+            mix_seed(5, _FORECAST_STREAM, rep, j, p.seed)
+            for rep in range(3) for j, p in enumerate(posterior)]
+        entries = [plan.checkpoints[r] for r in plan.rows]
+        assert all(a is b.checkpoint for a, b in
+                   zip(entries, list(posterior) * 3))
+        assert len(plan.checkpoints) == len(
+            {id(p.checkpoint) for p in posterior})
+
+    def test_trajectories_are_rows_of_the_batch(self, posterior):
+        import numpy as np
+        fc = forecast_from_posterior(posterior, 6, n_per_particle=2)
+        assert fc.batch.n_particles == len(fc) == 40
+        for i, traj in enumerate(fc.trajectories):
+            assert traj.start_day == fc.batch.start_day == fc.start_day
+            assert np.array_equal(traj.infections, fc.batch.infections[i])
+            assert np.array_equal(traj.deaths, fc.batch.deaths[i])
+
+    def test_ribbon_equals_the_per_trajectory_ribbon(self, posterior):
+        import numpy as np
+        from repro.core import trajectory_ribbon
+        fc = forecast_from_posterior(posterior, 6, base_seed=2,
+                                     n_per_particle=3)
+        for channel in ("cases", "deaths", "hospital_census"):
+            got = fc.ribbon(channel, (0.05, 0.5, 0.95))
+            want = trajectory_ribbon(list(fc.trajectories), channel,
+                                     (0.05, 0.5, 0.95))
+            assert got.start_day == want.start_day
+            assert np.array_equal(got.bands, want.bands)
+
+    def test_mixed_day_forecast_has_no_ribbon(self):
+        from repro.core import Particle, ParticleEnsemble
+        from repro.seir import DiseaseParameters, StochasticSEIRModel
+
+        params = DiseaseParameters(population=3000, initial_exposed=20)
+        particles = []
+        for seed, day in ((1, 5), (2, 7)):
+            model = StochasticSEIRModel(params, seed)
+            model.run_until(day)
+            particles.append(Particle(params={"theta": 0.3}, seed=seed,
+                                      checkpoint=model.checkpoint()))
+        fc = forecast_from_posterior(ParticleEnsemble(particles), 4)
+        assert fc.batch is None
+        assert [len(t) for t in fc.trajectories] == [4, 2]
+        with pytest.raises(ValueError, match="different day ranges"):
+            fc.ribbon("cases")

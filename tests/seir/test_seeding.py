@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.seir import SeedSequenceBank, generator_for, mix_seed
+from repro.seir import SeedSequenceBank, generator_for, mix_seed, mix_seeds
 
 
 class TestGeneratorFor:
@@ -28,6 +30,63 @@ class TestMixSeed:
     def test_nonnegative_63bit(self):
         s = mix_seed(2**62, 17)
         assert 0 <= s < 2**63
+
+
+#: One component of each entropy shape ``SeedSequence`` distinguishes: zero
+#: (one zero word), one 32-bit word, two words, and negative values (masked
+#: to 63 bits, so two words).
+_COMPONENTS = st.one_of(st.just(0), st.integers(1, 2**32 - 1),
+                        st.integers(2**32, 2**63 - 1),
+                        st.integers(-(2**63), -1))
+
+
+class TestMixSeeds:
+    """``mix_seeds`` is ``mix_seed`` over arrays, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda k: st.lists(
+        st.lists(_COMPONENTS, min_size=k, max_size=k),
+        min_size=1, max_size=12)))
+    @example([[0]])
+    @example([[5, 3], [2**40, 0]])
+    @example([[1, 2, 3], [2**33, -1, 0], [0, 0, 0]])
+    def test_equals_mix_seed_elementwise(self, rows):
+        """Rows of one call may differ in entropy length (a component
+        takes one word or two), and 1-3 one-word components leave the
+        4-word pool short."""
+        columns = [np.array(column, dtype=np.int64) for column in zip(*rows)]
+        got = mix_seeds(*columns)
+        assert got.dtype == np.int64
+        assert got.tolist() == [mix_seed(*row) for row in rows]
+
+    def test_scalars_broadcast(self):
+        draws = np.arange(6).reshape(2, 3)
+        got = mix_seeds(17, 3, 2, draws)
+        assert got.shape == (2, 3)
+        assert got.ravel().tolist() == [mix_seed(17, 3, 2, int(d))
+                                        for d in draws.ravel()]
+        assert int(mix_seeds(2**70 + 5, -3)) == mix_seed(2**70 + 5, -3)
+
+    def test_rejects_float_and_empty_components(self):
+        with pytest.raises(TypeError, match="integers"):
+            mix_seeds(1, np.array([0.5]))
+        with pytest.raises(ValueError, match="at least one"):
+            mix_seeds()
+
+
+class TestWindowDrawSeeds:
+    @pytest.mark.parametrize("n_draws", [1, 7, 250])
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    def test_equal_the_scalar_loop(self, window, n_draws):
+        bank = SeedSequenceBank(20240215)
+        assert bank.window_draw_seeds(window, n_draws).tolist() == [
+            bank.window_draw_seed(window, i) for i in range(n_draws)]
+
+    def test_validation(self):
+        bank = SeedSequenceBank(1)
+        assert bank.window_draw_seeds(1, 0).tolist() == []
+        with pytest.raises(ValueError):
+            bank.window_draw_seeds(-1, 3)
 
 
 class TestSeedSequenceBank:
